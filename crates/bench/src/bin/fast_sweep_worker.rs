@@ -11,12 +11,12 @@ use fast_bench::cli::{parse_sweep_cli, SweepCli};
 use fast_bench::pareto_figs::sweep_budget_frontiers_with;
 
 const USAGE: &str = "usage: fast-sweep-worker --shard INDEX/COUNT --checkpoint DIR \
-[--resume] [--frontiers-only] [--fidelity exact|s0|s1] [--keep-fraction F] [--min-full N]
+[--resume] [--frontiers-only] [--fidelity exact|s0] [--keep-fraction F] [--min-full N]
   --shard INDEX/COUNT  run scenario shard INDEX of COUNT (e.g. 0/3)
   --checkpoint DIR     save this shard's evaluation cache + ledger under DIR
   --resume             continue a killed shard run from DIR
   --frontiers-only     print only the deterministic frontier tables
-  --fidelity TIER      exact (default), or surrogate-screen trials (s0|s1)
+  --fidelity TIER      exact (default), or surrogate-screen trials (s0)
   --keep-fraction F    fraction of each round to fully simulate (default 0.25)
   --min-full N         full simulations per round floor (default 2)";
 

@@ -9,14 +9,14 @@ use fast_bench::pareto_figs::sweep_budget_frontiers_with;
 
 const USAGE: &str =
     "usage: sweep_frontiers [--checkpoint DIR] [--resume] [--frontiers-only] [--points]
-                       [--fidelity exact|s0|s1] [--keep-fraction F] [--min-full N]
+                       [--fidelity exact|s0] [--keep-fraction F] [--min-full N]
   --checkpoint DIR   save the evaluation cache + scenario ledger under DIR
   --resume           continue a killed run from DIR (requires --checkpoint)
   --frontiers-only   print only the deterministic frontier tables
   --points           print only the frontier-points table (bit patterns;
                      byte-identical iff the frontiers are bit-identical)
-  --fidelity TIER    exact (default), or screen trials through a surrogate:
-                     s0 = analytical roofline, s1 = online ridge model
+  --fidelity TIER    exact (default), or s0: screen trials through the
+                     analytical roofline surrogate
   --keep-fraction F  fraction of each round to fully simulate (default 0.25)
   --min-full N       full simulations per round floor (default 2)";
 

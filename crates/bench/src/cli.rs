@@ -40,7 +40,7 @@ fn parse_shard_spec(value: &str) -> Result<(usize, usize), String> {
 /// Parses the `--checkpoint DIR` / `--resume` (and, when
 /// `accept_frontiers_only`, `--frontiers-only` and `--points`; when
 /// `accept_shard`, `--shard INDEX/COUNT`) flag set, plus the fidelity
-/// axis: `--fidelity exact|s0|s1` with optional `--keep-fraction F`
+/// axis: `--fidelity exact|s0` with optional `--keep-fraction F`
 /// (default 0.25) and `--min-full N` (default 2) refinements.
 ///
 /// # Errors
@@ -65,11 +65,8 @@ pub fn parse_sweep_cli(
             "--fidelity" => match args.next().as_deref() {
                 Some("exact") => tier = Some(None),
                 Some("s0") => tier = Some(Some(SurrogateTier::S0)),
-                Some("s1") => tier = Some(Some(SurrogateTier::S1)),
-                Some(other) => {
-                    return Err(format!("--fidelity wants exact, s0 or s1, got {other:?}"))
-                }
-                None => return Err("--fidelity needs exact, s0 or s1".to_string()),
+                Some(other) => return Err(format!("--fidelity wants exact or s0, got {other:?}")),
+                None => return Err("--fidelity needs exact or s0".to_string()),
             },
             "--keep-fraction" => match args.next() {
                 Some(v) if !v.starts_with('-') => {
@@ -129,7 +126,7 @@ pub fn parse_sweep_cli(
         // nothing to refine, so passing them is a mistake, not a no-op.
         Some(None) | None => {
             if keep_fraction.is_some() || min_full.is_some() {
-                return Err("--keep-fraction/--min-full require --fidelity s0 or s1".to_string());
+                return Err("--keep-fraction/--min-full require --fidelity s0".to_string());
             }
         }
     }
@@ -451,14 +448,19 @@ mod tests {
         );
 
         let SweepCli::Run(opts) =
-            parse(&["--fidelity", "s1", "--keep-fraction", "0.125", "--min-full", "4"], true)
+            parse(&["--fidelity", "s0", "--keep-fraction", "0.125", "--min-full", "4"], true)
                 .unwrap()
         else {
             panic!("expected Run");
         };
         assert_eq!(
             opts.fidelity,
-            Fidelity::Screened { keep_fraction: 0.125, min_full: 4, tier: SurrogateTier::S1 }
+            Fidelity::Screened { keep_fraction: 0.125, min_full: 4, tier: SurrogateTier::S0 }
+        );
+        // Any other tier name is an error naming the accepted values.
+        assert_eq!(
+            parse(&["--fidelity", "s1"], true),
+            Err("--fidelity wants exact or s0, got \"s1\"".to_string())
         );
 
         let SweepCli::Run(opts) = parse(&["--fidelity", "exact"], true).unwrap() else {
@@ -474,11 +476,11 @@ mod tests {
         // Refinements without a screened tier are mistakes, not no-ops.
         assert_eq!(
             parse(&["--keep-fraction", "0.5"], true),
-            Err("--keep-fraction/--min-full require --fidelity s0 or s1".to_string())
+            Err("--keep-fraction/--min-full require --fidelity s0".to_string())
         );
         assert_eq!(
             parse(&["--fidelity", "exact", "--min-full", "3"], true),
-            Err("--keep-fraction/--min-full require --fidelity s0 or s1".to_string())
+            Err("--keep-fraction/--min-full require --fidelity s0".to_string())
         );
         // The fraction must be a usable probability mass.
         assert!(parse(&["--fidelity", "s0", "--keep-fraction", "0"], true).is_err());

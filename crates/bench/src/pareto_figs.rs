@@ -6,7 +6,7 @@ use crate::{trial_budget, Table};
 use fast_arch::{presets, Budget};
 use fast_core::{
     BudgetLevel, Checkpointer, Evaluator, Fidelity, Objective, ScenarioMatrix, ScenarioResult,
-    SweepConfig, SweepRunner,
+    SweepConfig, SweepRunner, SweepSession,
 };
 use fast_models::{EfficientNet, Workload, WorkloadDomain};
 use fast_roi::RoiModel;
@@ -154,19 +154,19 @@ pub fn sweep_budget_frontiers_with(opts: &SweepRunOptions) -> String {
             None
         }
     });
-    let result = match (&checkpointer, opts.resume, opts.shard) {
-        // A shard worker without a usable checkpoint directory has nothing
-        // to merge later — that is an operational error, not something to
-        // degrade around (the CLI already guarantees --checkpoint was given).
-        (None, _, Some(_)) => {
-            panic!("--shard requires a usable --checkpoint directory")
-        }
-        (Some(ck), false, Some((i, n))) => runner.run_shard(ck, i, n),
-        (Some(ck), true, Some((i, n))) => runner.resume_shard(ck, i, n),
-        (Some(ck), true, None) => runner.resume(ck),
-        (Some(ck), false, None) => runner.run_checkpointed(ck),
-        (None, _, None) => runner.run(),
-    };
+    // A shard worker without a usable checkpoint directory has nothing to
+    // merge later — that is an operational error, not something to degrade
+    // around (the CLI already guarantees --checkpoint was given).
+    assert!(
+        opts.shard.is_none() || checkpointer.is_some(),
+        "--shard requires a usable --checkpoint directory"
+    );
+    let result = runner.run_session(SweepSession {
+        checkpointer: checkpointer.as_ref(),
+        resume: opts.resume,
+        shard: opts.shard,
+        ..SweepSession::default()
+    });
 
     if opts.points {
         let records: Vec<_> = result.scenarios.iter().map(|s| s.record()).collect();

@@ -11,7 +11,8 @@
 //!    frontier's dominated hypervolume (objective ↑, TDP ↓, area ↓
 //!    against a shared reference point).
 //!
-//! Environment knobs (all optional):
+//! Environment knobs (all optional; a set but malformed value panics
+//! naming the variable rather than falling back to the default):
 //!
 //! | variable | meaning | default |
 //! |---|---|---|
@@ -20,7 +21,6 @@
 //! | `FAST_ASSERT_SURROGATE_HV` | required screened/exact hypervolume ratio | `0.5` |
 //! | `FAST_SURROGATE_KEEP` | keep fraction of each round | `0.25` |
 //! | `FAST_SURROGATE_MIN_FULL` | full simulations per round floor | `2` |
-//! | `FAST_SURROGATE_TIER` | `s0` (roofline) or `s1` (online ridge) | `s0` |
 //! | `FAST_TRIALS` | per-scenario trial budget | `48` |
 
 use crate::{trial_budget, Table};
@@ -105,22 +105,17 @@ fn shared_reference(frontiers: &[&[FrontierPoint]]) -> [f64; 3] {
     [0.0, 1.05 * worst_tdp, 1.05 * worst_area]
 }
 
-/// Runs the matrix exact and screened and pairs up the scenarios.
+/// Runs the matrix exact and S0-screened and pairs up the scenarios.
 ///
 /// # Panics
 /// Panics if a screened scenario carries no [`fast_core::FidelityReport`]
 /// — that would mean the fidelity axis was silently dropped, which is
 /// exactly what the smoke exists to catch.
 #[must_use]
-pub fn surrogate_smoke_rows(
-    trials: usize,
-    keep_fraction: f64,
-    min_full: usize,
-    tier: SurrogateTier,
-) -> Vec<SmokeRow> {
+pub fn surrogate_smoke_rows(trials: usize, keep_fraction: f64, min_full: usize) -> Vec<SmokeRow> {
     let config = SweepConfig { trials, batch: 8, ..SweepConfig::default() };
     let screened_config = SweepConfig {
-        fidelity: Fidelity::Screened { keep_fraction, min_full, tier },
+        fidelity: Fidelity::Screened { keep_fraction, min_full, tier: SurrogateTier::S0 },
         ..config.clone()
     };
     let exact: SweepResult = SweepRunner::new(smoke_matrix(), config).run();
@@ -177,8 +172,27 @@ fn render(rows: &[SmokeRow]) -> String {
     t.render()
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// Parses `value`, the setting of environment knob `name`, falling back to
+/// `default` when it is unset.
+///
+/// # Panics
+/// Panics naming the variable when the value is malformed: a mistyped knob
+/// (`FAST_SURROGATE_KEEP=0,125`) must not silently run the default while
+/// the gates are armed.
+fn parse_knob<T: std::str::FromStr>(name: &str, value: Option<&str>, default: T) -> T {
+    value.map_or(default, |v| {
+        v.parse().unwrap_or_else(|_| panic!("{name} must be a number, got {v:?}"))
+    })
+}
+
+/// [`parse_knob`] on the process environment.
+fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
+    let value = match std::env::var(name) {
+        Ok(v) => Some(v),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(v)) => panic!("{name} must be a number, got {v:?}"),
+    };
+    parse_knob(name, value.as_deref(), default)
 }
 
 /// The full smoke: run, render, and — when `FAST_ASSERT_SURROGATE` is set
@@ -190,26 +204,21 @@ fn env_f64(name: &str, default: f64) -> f64 {
 #[must_use]
 pub fn surrogate_smoke() -> String {
     let trials = trial_budget(48);
-    let keep = env_f64("FAST_SURROGATE_KEEP", 0.25);
-    let min_full =
-        std::env::var("FAST_SURROGATE_MIN_FULL").ok().and_then(|v| v.parse().ok()).unwrap_or(2);
-    let tier = match std::env::var("FAST_SURROGATE_TIER").as_deref() {
-        Ok("s1") => SurrogateTier::S1,
-        _ => SurrogateTier::S0,
-    };
-    let rows = surrogate_smoke_rows(trials, keep, min_full, tier);
+    let keep = env_knob("FAST_SURROGATE_KEEP", 0.25);
+    let min_full = env_knob("FAST_SURROGATE_MIN_FULL", 2);
+    let rows = surrogate_smoke_rows(trials, keep, min_full);
 
     let mut out = format!(
         "Surrogate screening smoke — {trials} trials/scenario, keep {keep}, \
-         min-full {min_full}, tier {tier:?}\n\
-         (exact and screened sweeps of the same Table-3 scenarios)\n\n{}",
+         min-full {min_full}\n\
+         (exact and S0-screened sweeps of the same Table-3 scenarios)\n\n{}",
         render(&rows)
     );
 
     if let Ok(spec) = std::env::var("FAST_ASSERT_SURROGATE") {
         let need: f64 = spec.parse().expect("FAST_ASSERT_SURROGATE must be a number like 3.0");
-        let need_rho = env_f64("FAST_ASSERT_SURROGATE_RHO", 0.8);
-        let need_hv = env_f64("FAST_ASSERT_SURROGATE_HV", 0.5);
+        let need_rho = env_knob("FAST_ASSERT_SURROGATE_RHO", 0.8);
+        let need_hv = env_knob("FAST_ASSERT_SURROGATE_HV", 0.5);
         for r in &rows {
             assert!(
                 r.savings() >= need,
@@ -252,7 +261,7 @@ mod tests {
     #[test]
     fn smoke_rows_thin_simulation_and_keep_ranking_signal() {
         // 32 trials: an 8-trial S0 burn-in, then three screened rounds.
-        let rows = surrogate_smoke_rows(32, 0.25, 2, SurrogateTier::S0);
+        let rows = surrogate_smoke_rows(32, 0.25, 2);
         assert_eq!(rows.len(), 2, "1 budget x 2 objectives x 1 domain");
         for r in &rows {
             assert_eq!(r.exact_sims, 32);
@@ -271,7 +280,7 @@ mod tests {
 
     #[test]
     fn shared_reference_is_dominated_by_every_point() {
-        let rows = surrogate_smoke_rows(16, 0.5, 1, SurrogateTier::S0);
+        let rows = surrogate_smoke_rows(16, 0.5, 1);
         // HV against a dominated reference is monotone: adding the exact
         // run's points to the screened frontier could only grow it, so a
         // ratio above 1 is possible, but both volumes must be positive and
@@ -279,5 +288,18 @@ mod tests {
         for r in &rows {
             assert!(r.hv_ratio().is_finite());
         }
+    }
+
+    #[test]
+    fn knobs_parse_and_fall_back_when_unset() {
+        assert_eq!(parse_knob("FAST_SURROGATE_KEEP", Some("0.125"), 0.25), 0.125);
+        assert_eq!(parse_knob("FAST_SURROGATE_KEEP", None, 0.25), 0.25);
+        assert_eq!(parse_knob("FAST_SURROGATE_MIN_FULL", Some("1"), 2usize), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "FAST_SURROGATE_KEEP must be a number, got \"0,125\"")]
+    fn malformed_knob_panics_naming_the_variable() {
+        let _ = parse_knob("FAST_SURROGATE_KEEP", Some("0,125"), 0.25);
     }
 }

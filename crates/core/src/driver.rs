@@ -385,9 +385,9 @@ impl<'e> FastStudy<'e> {
         // evaluator exactly: same workloads, same objective, and a decode
         // closure applying the same validity + budget gate, so surrogate
         // ranks compare the population the simulator would see.
-        let mut screener = match self.fidelity {
+        let screener = match self.fidelity {
             Fidelity::Exact => None,
-            Fidelity::Screened { tier, .. } => {
+            Fidelity::Screened { .. } => {
                 let decode_space = space.clone();
                 let budget = *self.evaluator.budget();
                 let metric = match self.evaluator.objective() {
@@ -395,7 +395,6 @@ impl<'e> FastStudy<'e> {
                     Objective::PerfPerTdp => GuideMetric::PerfPerTdp,
                 };
                 Some(SurrogateScreener::new(
-                    tier,
                     metric,
                     self.evaluator.workloads().to_vec(),
                     Box::new(move |p: &[usize]| {
@@ -411,7 +410,7 @@ impl<'e> FastStudy<'e> {
             .fidelity(self.fidelity)
             .execution(self.execution)
             .durability(self.durability.clone());
-        let study = match screener.as_mut() {
+        let study = match &screener {
             Some(sc) => builder.run_screened(&mut opt, StudyEval::batch(&mut eval_round), sc)?,
             None => builder.run(&mut opt, StudyEval::batch(&mut eval_round))?,
         };

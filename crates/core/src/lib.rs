@@ -16,8 +16,8 @@
 //! Above the single-study drivers, the [`sweep`] module runs whole result
 //! matrices — `{budget × objective × workload domain}` — as Pareto studies
 //! over one shared evaluation cache (the paper's Figs. 9–11 sweeps), and
-//! makes them durable: [`Checkpointer`] + [`SweepRunner::resume`] let a
-//! killed sweep continue bit-identically, with the evaluation cache
+//! makes them durable: a [`Checkpointer`] in a resuming [`SweepSession`]
+//! lets a killed sweep continue bit-identically, with the evaluation cache
 //! persisted via [`Evaluator::save_eval_cache`] /
 //! [`Evaluator::load_eval_cache`].
 //!

@@ -1,15 +1,15 @@
 //! Merging sharded sweep checkpoints back into the single-process artifact
 //! set.
 //!
-//! A distributed sweep runs [`crate::SweepRunner::run_shard`] once per shard,
-//! each worker checkpointing into its own directory. This module folds those
-//! directories back together: [`merge_eval_caches`] unions the key-sorted
-//! tier snapshots (`eval_cache.bin` / `eval_cache.op.bin`), and
-//! [`merge_sweep_checkpoints`] additionally stitches the shard ledgers into
-//! one full-matrix ledger, re-running [`ParetoArchive`] insertion over every
-//! recorded frontier. The merged directory is then indistinguishable from a
-//! single-process [`crate::SweepRunner::run_checkpointed`] checkpoint — byte
-//! for byte, because [`crate::evaluate`] writes tier entries sorted by
+//! A distributed sweep runs one [`crate::SweepRunner::run_session`] per shard
+//! ([`crate::SweepSession::shard`]), each worker checkpointing into its own
+//! directory. This module folds those directories back together:
+//! [`merge_eval_caches`] unions the key-sorted tier snapshots
+//! (`eval_cache.bin` / `eval_cache.op.bin`), and [`merge_sweep_checkpoints`]
+//! additionally stitches the shard ledgers into one full-matrix ledger,
+//! re-running [`ParetoArchive`] insertion over every recorded frontier. The
+//! merged directory is then indistinguishable from the checkpoint of a
+//! single-process run — byte for byte, because [`crate::evaluate`] writes tier entries sorted by
 //! encoded key and evaluation is deterministic, so the union of the shard
 //! entry sets *is* the single-process entry set.
 //!

@@ -663,9 +663,9 @@ pub enum SweepEvent {
 pub type SweepObserver<'o> = &'o mut dyn FnMut(&SweepEvent);
 
 /// How [`SweepRunner::run_session`] runs: which evaluator owns the caches,
-/// whether and where to checkpoint, whether to resume, and who observes
-/// progress. The plain entry points ([`SweepRunner::run`],
-/// [`SweepRunner::resume`], …) are shorthands for common shapes of this.
+/// whether and where to checkpoint, whether to resume, which slice of the
+/// matrix to run, and who observes progress. [`SweepRunner::run`] is the
+/// shorthand for the default session.
 #[derive(Default)]
 pub struct SweepSession<'a> {
     /// Evaluator whose (shared) caches the sweep reads and populates — the
@@ -674,12 +674,33 @@ pub struct SweepSession<'a> {
     /// Sharing never changes any result: caches accelerate, the determinism
     /// contract fixes what is computed.
     pub evaluator: Option<&'a Evaluator>,
-    /// Checkpoint directory manager; `None` runs ephemerally.
+    /// Checkpoint directory manager; `None` runs ephemerally. With one,
+    /// the sweep saves the evaluation cache at every round that simulated
+    /// something new and the scenario ledger at every scenario boundary.
+    /// Results are unchanged; the process merely becomes killable.
     pub checkpointer: Option<&'a Checkpointer>,
-    /// Load the checkpoint before running (replaying completed scenarios
-    /// from the warm snapshot). With no usable checkpoint this degrades to
-    /// a cold run, so a fresh directory may simply always pass `true`.
+    /// Load the checkpoint before running. Completed scenarios replay from
+    /// the warm snapshot as near-pure cache traffic (their proposals repeat
+    /// by the determinism contract) and are cross-checked against the
+    /// ledger; the first unfinished one re-pays only the rounds the snapshot
+    /// missed. The result is **bit-identical to an uninterrupted run**. A
+    /// missing, damaged, or mismatched checkpoint — including one written
+    /// by a different shard, matrix or config — degrades to a cold run, so
+    /// a fresh directory may simply always pass `true`.
     pub resume: bool,
+    /// Run only shard `(index, count)` — the scenarios of
+    /// [`ScenarioMatrix::shard`]. Per-scenario results are **bit-identical**
+    /// to the same scenarios of a whole-matrix run: every scenario's study
+    /// is self-contained, so partitioning the matrix across processes
+    /// cannot change any frontier. A shard's checkpoint directory is the
+    /// unit [`crate::merge_sweep_checkpoints`] merges. `None` owns the
+    /// whole matrix. [`SweepRunner::run_session`] panics when `count` is
+    /// zero or `index >= count`.
+    pub shard: Option<(usize, usize)>,
+    /// Stop after the first `limit` scenarios of the owned range — a
+    /// time-boxed prefix run. Resuming the same checkpoint later completes
+    /// the range as if this run had been killed at the boundary.
+    pub limit: Option<usize>,
     /// Progress observer; `None` runs silently.
     pub observer: Option<SweepObserver<'a>>,
 }
@@ -690,6 +711,8 @@ impl std::fmt::Debug for SweepSession<'_> {
             .field("evaluator", &self.evaluator.is_some())
             .field("checkpointer", &self.checkpointer)
             .field("resume", &self.resume)
+            .field("shard", &self.shard)
+            .field("limit", &self.limit)
             .field("observer", &self.observer.is_some())
             .finish()
     }
@@ -733,102 +756,7 @@ impl SweepRunner {
     /// stats depend on thread scheduling.)
     #[must_use]
     pub fn run(&self) -> SweepResult {
-        self.run_impl(None, None, false, None, None, None)
-    }
-
-    /// The fully-general entry point: runs the matrix under `session` —
-    /// optionally against a caller-owned (shared) evaluator, optionally
-    /// checkpointed/resumed, optionally observed. This is what a serving
-    /// process uses to run many requests' sweeps over **one** warm
-    /// `MapperCache`/sim/fuse tier while streaming progress to each
-    /// client; results are bit-identical to [`SweepRunner::run`] no matter
-    /// how warm the shared caches are.
-    #[must_use]
-    pub fn run_session(&self, session: SweepSession<'_>) -> SweepResult {
-        self.run_impl(
-            session.evaluator,
-            session.checkpointer,
-            session.resume,
-            None,
-            None,
-            session.observer,
-        )
-    }
-
-    /// [`SweepRunner::run`], saving checkpoints as it goes: the evaluation
-    /// cache at every round that simulated something new, the scenario
-    /// ledger at every scenario boundary. The sweep result is identical to
-    /// [`SweepRunner::run`]'s; the process merely becomes killable.
-    #[must_use]
-    pub fn run_checkpointed(&self, ck: &Checkpointer) -> SweepResult {
-        self.run_impl(None, Some(ck), false, None, None, None)
-    }
-
-    /// Resumes a killed [`SweepRunner::run_checkpointed`] sweep.
-    ///
-    /// Loads the evaluation-cache snapshot, then *replays* the whole matrix
-    /// against it: scenarios that completed before the kill re-run as
-    /// near-pure cache traffic (their proposals repeat by the determinism
-    /// contract, so every simulation is already memoized), and the first
-    /// unfinished scenario continues paying only for rounds the snapshot
-    /// missed. The result — every frontier, every convergence curve — is
-    /// **bit-identical to an uninterrupted run**; replayed scenarios are
-    /// additionally cross-checked against the ledger, warning on any
-    /// mismatch (which would indicate the code changed between runs).
-    ///
-    /// A missing, damaged, or mismatched checkpoint degrades to a cold
-    /// fresh run — resuming can cost re-simulation, never correctness.
-    /// Checkpointing continues during the resumed run.
-    #[must_use]
-    pub fn resume(&self, ck: &Checkpointer) -> SweepResult {
-        self.run_impl(None, Some(ck), true, None, None, None)
-    }
-
-    /// Runs only the first `limit` scenarios (with checkpointing) and stops
-    /// — a time-boxed prefix run. The returned result covers the prefix;
-    /// [`SweepRunner::resume`] later completes the matrix from the
-    /// checkpoint as if the prefix run had been killed at the boundary.
-    #[must_use]
-    pub fn run_prefix(&self, ck: &Checkpointer, limit: usize) -> SweepResult {
-        self.run_impl(None, Some(ck), false, None, Some(limit), None)
-    }
-
-    /// Runs shard `index` of `count` — the scenarios of
-    /// [`ScenarioMatrix::shard`] — checkpointing under `ck` like
-    /// [`SweepRunner::run_checkpointed`]. Per-scenario results are
-    /// **bit-identical** to the same scenarios of a single-process
-    /// [`SweepRunner::run`]: every scenario's study is self-contained (the
-    /// shared cache accelerates but never alters results), so partitioning
-    /// the matrix across processes cannot change any frontier. The shard's
-    /// checkpoint directory is the unit [`crate::merge_sweep_checkpoints`]
-    /// merges.
-    ///
-    /// # Panics
-    /// Panics when `count` is zero or `index >= count`.
-    #[must_use]
-    pub fn run_shard(&self, ck: &Checkpointer, index: usize, count: usize) -> SweepResult {
-        self.run_impl(
-            None,
-            Some(ck),
-            false,
-            Some(self.matrix.shard_range(index, count)),
-            None,
-            None,
-        )
-    }
-
-    /// Resumes a killed [`SweepRunner::run_shard`] worker, with the same
-    /// contract as [`SweepRunner::resume`]: completed scenarios replay from
-    /// the warm snapshot, the interrupted one re-pays only what the
-    /// snapshot missed, and the result is bit-identical to an uninterrupted
-    /// shard run. A checkpoint written by a *different* shard (or matrix,
-    /// or config) is rejected and degrades to a cold shard run.
-    ///
-    /// # Panics
-    /// Panics when `count` is zero or `index >= count`.
-    #[must_use]
-    pub fn resume_shard(&self, ck: &Checkpointer, index: usize, count: usize) -> SweepResult {
-        self.run_impl(None, Some(ck), true, Some(self.matrix.shard_range(index, count)), None, None)
+        self.run_session(SweepSession::default())
     }
 
     /// Fingerprint of `(matrix, config)` guarding ledger reuse: resuming
@@ -863,15 +791,20 @@ impl SweepRunner {
         bin::fnv1a(&w.into_bytes())
     }
 
-    fn run_impl(
-        &self,
-        shared: Option<&Evaluator>,
-        ck: Option<&Checkpointer>,
-        resume: bool,
-        range: Option<std::ops::Range<usize>>,
-        limit: Option<usize>,
-        mut observer: Option<SweepObserver<'_>>,
-    ) -> SweepResult {
+    /// The general entry point: runs the matrix (or the session's shard of
+    /// it) under `session` — optionally against a caller-owned (shared)
+    /// evaluator, optionally checkpointed/resumed, optionally observed. This
+    /// is what a serving process uses to run many requests' sweeps over
+    /// **one** warm `MapperCache`/sim/fuse tier while streaming progress to
+    /// each client; results are bit-identical to [`SweepRunner::run`] no
+    /// matter how warm the shared caches are.
+    ///
+    /// # Panics
+    /// Panics when the session's shard has `count` zero or `index >= count`.
+    #[must_use]
+    pub fn run_session(&self, session: SweepSession<'_>) -> SweepResult {
+        let SweepSession { evaluator, checkpointer: ck, resume, shard, limit, mut observer } =
+            session;
         let space = FastSpace::table3();
         let seeds: Vec<Vec<usize>> =
             self.config.seeds.iter().map(|(cfg, sim)| space.encode(cfg, sim)).collect();
@@ -880,7 +813,7 @@ impl SweepRunner {
         // may lend one in (clone-cheap, Arc-shared tiers) so many sweeps
         // serve from the same warm caches.
         let private;
-        let proto = match shared {
+        let proto = match evaluator {
             Some(p) => p,
             None => {
                 private = Evaluator::new(Vec::new(), Objective::Qps, Budget::paper_default());
@@ -897,7 +830,7 @@ impl SweepRunner {
         let total = all.len();
         // The range this process *owns* (and records in its ledger header);
         // `limit` additionally time-boxes how far into it this run gets.
-        let range = range.unwrap_or(0..total);
+        let range = shard.map_or(0..total, |(index, count)| self.matrix.shard_range(index, count));
 
         let fingerprint = self.fingerprint();
         let mut ledger: HashMap<String, CompletedScenario> = HashMap::new();
@@ -984,12 +917,12 @@ impl SweepRunner {
                 }
                 points.iter().map(|p| scored[index_of[p]].clone()).collect::<Vec<_>>()
             };
-            // Under Fidelity::Screened every scenario gets its own surrogate
-            // tier, built from *its* workloads, objective and budget — the
-            // S1 model of one scenario must never leak into another's.
-            let mut screener = match self.config.fidelity {
+            // Under Fidelity::Screened every scenario gets its own surrogate,
+            // built from *its* workloads, objective and budget, so its
+            // scores rank designs by this scenario's guide.
+            let screener = match self.config.fidelity {
                 Fidelity::Exact => None,
-                Fidelity::Screened { tier, .. } => {
+                Fidelity::Screened { .. } => {
                     let decode_space = space.clone();
                     let budget = scenario.budget;
                     let metric = match scenario.objective {
@@ -997,7 +930,6 @@ impl SweepRunner {
                         Objective::PerfPerTdp => GuideMetric::PerfPerTdp,
                     };
                     Some(SurrogateScreener::new(
-                        tier,
                         metric,
                         scenario.domain.workloads.clone(),
                         Box::new(move |p: &[usize]| {
@@ -1028,12 +960,12 @@ impl SweepRunner {
                             full_evals: p.full_evals,
                         });
                     };
-                    match screener.as_mut() {
+                    match &screener {
                         Some(sc) => study.run_screened_observed(&mut opt, eval, sc, &mut on_round),
                         None => study.run_observed(&mut opt, eval, &mut on_round),
                     }
                 }
-                None => match screener.as_mut() {
+                None => match &screener {
                     Some(sc) => study.run_screened(&mut opt, eval, sc),
                     None => study.run(&mut opt, eval),
                 },
@@ -1214,14 +1146,19 @@ mod tests {
         dir
     }
 
+    /// A session checkpointing under `ck`.
+    fn durable(ck: &Checkpointer) -> SweepSession<'_> {
+        SweepSession { checkpointer: Some(ck), ..SweepSession::default() }
+    }
+
     #[test]
     fn checkpointed_run_equals_plain_run() {
         let config = SweepConfig { trials: 16, batch: 4, ..SweepConfig::default() };
         let matrix = tiny_matrix();
         let plain = SweepRunner::new(matrix.clone(), config.clone()).run();
         let ck = Checkpointer::new(scratch_dir("equals")).unwrap();
-        let durable = SweepRunner::new(matrix, config).run_checkpointed(&ck);
-        for (a, b) in plain.scenarios.iter().zip(&durable.scenarios) {
+        let checkpointed = SweepRunner::new(matrix, config).run_session(durable(&ck));
+        for (a, b) in plain.scenarios.iter().zip(&checkpointed.scenarios) {
             assert_eq!(a.frontier_points, b.frontier_points, "{}", a.scenario.name);
             assert_eq!(
                 a.cache, b.cache,
@@ -1241,11 +1178,12 @@ mod tests {
 
         let ck = Checkpointer::new(scratch_dir("resume")).unwrap();
         let runner = SweepRunner::new(matrix.clone(), config.clone());
-        let prefix = runner.run_prefix(&ck, 2);
+        let prefix = runner.run_session(SweepSession { limit: Some(2), ..durable(&ck) });
         assert_eq!(prefix.scenarios.len(), 2);
 
         // A fresh runner (fresh process, conceptually) resumes.
-        let resumed = SweepRunner::new(matrix, config).resume(&ck);
+        let resumed = SweepRunner::new(matrix, config)
+            .run_session(SweepSession { resume: true, ..durable(&ck) });
         assert_eq!(resumed.scenarios.len(), full.scenarios.len());
         for (a, b) in full.scenarios.iter().zip(&resumed.scenarios) {
             assert_eq!(a.frontier_points, b.frontier_points, "{}", a.scenario.name);
@@ -1269,13 +1207,15 @@ mod tests {
         let matrix = tiny_matrix();
         let ck = Checkpointer::new(scratch_dir("mismatch")).unwrap();
         let config = SweepConfig { trials: 16, batch: 4, ..SweepConfig::default() };
-        let _ = SweepRunner::new(matrix.clone(), config.clone()).run_prefix(&ck, 1);
+        let _ = SweepRunner::new(matrix.clone(), config.clone())
+            .run_session(SweepSession { limit: Some(1), ..durable(&ck) });
 
         // Different seed => different fingerprint: the ledger must be
         // ignored, and the run must still complete correctly end to end.
         let other = SweepConfig { seed: 99, ..config };
         let expected = SweepRunner::new(matrix.clone(), other.clone()).run();
-        let resumed = SweepRunner::new(matrix, other).resume(&ck);
+        let resumed = SweepRunner::new(matrix, other)
+            .run_session(SweepSession { resume: true, ..durable(&ck) });
         for (a, b) in expected.scenarios.iter().zip(&resumed.scenarios) {
             assert_eq!(a.frontier_points, b.frontier_points, "{}", a.scenario.name);
         }
@@ -1286,13 +1226,15 @@ mod tests {
         let matrix = tiny_matrix();
         let config = SweepConfig { trials: 16, batch: 4, ..SweepConfig::default() };
         let ck = Checkpointer::new(scratch_dir("corrupt")).unwrap();
-        let _ = SweepRunner::new(matrix.clone(), config.clone()).run_prefix(&ck, 2);
+        let _ = SweepRunner::new(matrix.clone(), config.clone())
+            .run_session(SweepSession { limit: Some(2), ..durable(&ck) });
         // Trash both files.
         std::fs::write(ck.cache_path(), b"definitely not a snapshot").unwrap();
         std::fs::write(ck.sweep_path(), vec![0xFFu8; 64]).unwrap();
 
         let expected = SweepRunner::new(matrix.clone(), config.clone()).run();
-        let resumed = SweepRunner::new(matrix, config).resume(&ck);
+        let resumed = SweepRunner::new(matrix, config)
+            .run_session(SweepSession { resume: true, ..durable(&ck) });
         for (a, b) in expected.scenarios.iter().zip(&resumed.scenarios) {
             assert_eq!(a.frontier_points, b.frontier_points, "{}", a.scenario.name);
         }
@@ -1382,12 +1324,12 @@ mod tests {
             fidelity: Fidelity::Screened {
                 keep_fraction: 0.25,
                 min_full: 2,
-                tier: SurrogateTier::S1,
+                tier: SurrogateTier::S0,
             },
             ..SweepConfig::default()
         };
         let ck = Checkpointer::new(scratch_dir("screened-ledger")).unwrap();
-        let result = SweepRunner::new(tiny_matrix(), config).run_checkpointed(&ck);
+        let result = SweepRunner::new(tiny_matrix(), config).run_session(durable(&ck));
         let ledger = read_ledger_strict(&ck.sweep_path()).expect("intact ledger");
         assert_eq!(ledger.completed.len(), result.scenarios.len());
         for (rec, s) in ledger.completed.iter().zip(&result.scenarios) {

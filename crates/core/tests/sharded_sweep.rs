@@ -9,7 +9,7 @@
 
 use fast_core::{
     merge_eval_caches, merge_sweep_checkpoints, BudgetLevel, Checkpointer, MergeError, Objective,
-    ScenarioMatrix, SweepConfig, SweepResult, SweepRunner,
+    ScenarioMatrix, SweepConfig, SweepResult, SweepRunner, SweepSession,
 };
 use fast_models::{EfficientNet, Workload, WorkloadDomain};
 use proptest::prelude::*;
@@ -40,6 +40,11 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
+/// A session checkpointing under `ck`.
+fn durable(ck: &Checkpointer) -> SweepSession<'_> {
+    SweepSession { checkpointer: Some(ck), ..SweepSession::default() }
+}
+
 /// The three files a checkpoint directory holds.
 const ARTIFACTS: [&str; 3] = ["sweep.bin", "eval_cache.bin", "eval_cache.op.bin"];
 
@@ -64,7 +69,10 @@ fn run_shards(
     for i in 0..n {
         let dir = scratch(&format!("{tag}-w{i}of{n}"));
         let ck = Checkpointer::new(&dir).unwrap();
-        results.push(SweepRunner::new(matrix.clone(), config.clone()).run_shard(&ck, i, n));
+        results.push(
+            SweepRunner::new(matrix.clone(), config.clone())
+                .run_session(SweepSession { shard: Some((i, n)), ..durable(&ck) }),
+        );
         dirs.push(dir);
     }
     (dirs, results)
@@ -200,7 +208,7 @@ proptest! {
         let config = SweepConfig { trials: 8, batch: 4, ..SweepConfig::default() };
         let single_dir = scratch("prop-single");
         let ck = Checkpointer::new(&single_dir).unwrap();
-        let full = SweepRunner::new(matrix.clone(), config.clone()).run_checkpointed(&ck);
+        let full = SweepRunner::new(matrix.clone(), config.clone()).run_session(durable(&ck));
 
         for n in [1usize, 2, 3, 5] {
             let (dirs, shard_results) = run_shards(&matrix, &config, n, "prop");
@@ -237,7 +245,7 @@ fn merged_checkpoint_is_resumable_as_single_process() {
     let (matrix, config) = (tiny_matrix(), tiny_config());
     let single_dir = scratch("resume-single");
     let ck = Checkpointer::new(&single_dir).unwrap();
-    let full = SweepRunner::new(matrix.clone(), config.clone()).run_checkpointed(&ck);
+    let full = SweepRunner::new(matrix.clone(), config.clone()).run_session(durable(&ck));
 
     let (dirs, _) = run_shards(&matrix, &config, 2, "resume");
     let merged = scratch("resume-merged");
@@ -247,7 +255,8 @@ fn merged_checkpoint_is_resumable_as_single_process() {
     // Resume the *full* sweep from the merged checkpoint: near-pure cache
     // replay, identical frontiers.
     let merged_ck = Checkpointer::new(&merged).unwrap();
-    let resumed = SweepRunner::new(matrix, config).resume(&merged_ck);
+    let resumed = SweepRunner::new(matrix, config)
+        .run_session(SweepSession { resume: true, ..durable(&merged_ck) });
     for (a, b) in full.scenarios.iter().zip(&resumed.scenarios) {
         assert_eq!(a.frontier_points, b.frontier_points, "{}", a.scenario.name);
         assert!(
@@ -269,13 +278,21 @@ fn resume_shard_degrades_safely() {
 
     let cold_dir = scratch("degrade-cold");
     let cold_ck = Checkpointer::new(&cold_dir).unwrap();
-    let cold = SweepRunner::new(matrix.clone(), config.clone()).resume_shard(&cold_ck, 0, 2);
+    let cold = SweepRunner::new(matrix.clone(), config.clone()).run_session(SweepSession {
+        resume: true,
+        shard: Some((0, 2)),
+        ..durable(&cold_ck)
+    });
     assert_eq!(cold.scenarios[0].frontier_points, shard_results[0].scenarios[0].frontier_points);
 
     // Shard 1 resumed against shard 0's checkpoint: the ledger is for the
     // wrong range and must be ignored; results are still shard 1's.
     let wrong_ck = Checkpointer::new(&dirs[0]).unwrap();
-    let crossed = SweepRunner::new(matrix, config).resume_shard(&wrong_ck, 1, 2);
+    let crossed = SweepRunner::new(matrix, config).run_session(SweepSession {
+        resume: true,
+        shard: Some((1, 2)),
+        ..durable(&wrong_ck)
+    });
     assert_eq!(crossed.scenarios[0].frontier_points, shard_results[1].scenarios[0].frontier_points);
 }
 
@@ -339,7 +356,8 @@ fn killed_mid_shard_worker_must_be_resumed_before_merging() {
     // — exactly what a worker killed at a scenario boundary leaves behind.
     let dir = scratch("killed");
     let ck = Checkpointer::new(&dir).unwrap();
-    let _ = SweepRunner::new(matrix.clone(), config.clone()).run_prefix(&ck, 1);
+    let _ = SweepRunner::new(matrix.clone(), config.clone())
+        .run_session(SweepSession { limit: Some(1), ..durable(&ck) });
 
     let err =
         merge_sweep_checkpoints(std::slice::from_ref(&dir), &scratch("killed-out")).unwrap_err();
@@ -350,13 +368,14 @@ fn killed_mid_shard_worker_must_be_resumed_before_merging() {
 
     // Resuming completes the shard; the merge then goes through and matches
     // a clean single-process checkpoint byte for byte.
-    let _ = SweepRunner::new(matrix.clone(), config.clone()).resume(&ck);
+    let _ = SweepRunner::new(matrix.clone(), config.clone())
+        .run_session(SweepSession { resume: true, ..durable(&ck) });
     let merged = scratch("killed-merged");
     merge_sweep_checkpoints(&[dir], &merged).unwrap();
 
     let clean_dir = scratch("killed-clean");
     let clean_ck = Checkpointer::new(&clean_dir).unwrap();
-    let _ = SweepRunner::new(matrix, config).run_checkpointed(&clean_ck);
+    let _ = SweepRunner::new(matrix, config).run_session(durable(&clean_ck));
     assert_dirs_byte_equal(&clean_dir, &merged, "resumed-then-merged");
 }
 
@@ -377,7 +396,8 @@ fn fingerprint_mismatch_between_shards_is_a_hard_error() {
     let other = SweepConfig { seed: 99, ..config };
     let dir = scratch("fpmix-other");
     let ck = Checkpointer::new(&dir).unwrap();
-    let _ = SweepRunner::new(matrix, other).run_shard(&ck, 1, 2);
+    let _ = SweepRunner::new(matrix, other)
+        .run_session(SweepSession { shard: Some((1, 2)), ..durable(&ck) });
     dirs[1] = dir;
 
     let err = merge_sweep_checkpoints(&dirs, &scratch("fpmix-out")).unwrap_err();
@@ -392,7 +412,7 @@ fn identical_overlap_dedups_clean() {
     let (matrix, config) = (tiny_matrix(), tiny_config());
     let single_dir = scratch("overlap-single");
     let ck = Checkpointer::new(&single_dir).unwrap();
-    let _ = SweepRunner::new(matrix.clone(), config.clone()).run_checkpointed(&ck);
+    let _ = SweepRunner::new(matrix.clone(), config.clone()).run_session(durable(&ck));
     let (dirs, shard_results) = run_shards(&matrix, &config, 2, "overlap");
 
     let merged = scratch("overlap-merged");
@@ -412,7 +432,7 @@ fn poisoned_conflicting_tier_value_is_a_hard_error() {
     let (matrix, config) = (tiny_matrix(), tiny_config());
     let single_dir = scratch("poison-single");
     let ck = Checkpointer::new(&single_dir).unwrap();
-    let _ = SweepRunner::new(matrix.clone(), config.clone()).run_checkpointed(&ck);
+    let _ = SweepRunner::new(matrix.clone(), config.clone()).run_session(durable(&ck));
     let (dirs, _) = run_shards(&matrix, &config, 2, "poison");
 
     // Shard 0's entries are a subset of the full run's, so flipping one of
@@ -436,7 +456,7 @@ fn poisoned_conflicting_scenario_record_is_a_hard_error() {
     let (matrix, config) = (tiny_matrix(), tiny_config());
     let single_dir = scratch("poisonledger-single");
     let ck = Checkpointer::new(&single_dir).unwrap();
-    let _ = SweepRunner::new(matrix.clone(), config.clone()).run_checkpointed(&ck);
+    let _ = SweepRunner::new(matrix.clone(), config.clone()).run_session(durable(&ck));
     let (dirs, _) = run_shards(&matrix, &config, 2, "poisonledger");
 
     poison_ledger_best_objective(&dirs[1].join("sweep.bin"));

@@ -116,87 +116,6 @@ pub fn dram_traffic(graph: &Graph, strategy: FusionStrategy) -> u64 {
     }
 }
 
-/// Compute/traffic totals of one operator class (see [`OpClassProfile`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct OpClassStats {
-    /// Total FLOPs of the class's ops.
-    pub flops: u64,
-    /// Unfused byte traffic of the class's ops (inputs + outputs +
-    /// accessed weights — the [`FusionStrategy::None`] accounting).
-    pub bytes: u64,
-    /// Number of ops in the class.
-    pub ops: usize,
-}
-
-impl OpClassStats {
-    fn add(&mut self, flops: u64, bytes: u64) {
-        self.flops += flops;
-        self.bytes += bytes;
-        self.ops += 1;
-    }
-}
-
-/// Per-op-class compute/traffic aggregates of a graph — the mapper-free
-/// feature extraction a surrogate predictor keys on. Classes are coarse on
-/// purpose: they distinguish how ops stress a datapath (systolic-array
-/// matrix work, depthwise's low-reuse channelwise work, bandwidth-bound
-/// vector work, pure data movement) without baking any model family's op
-/// list into the feature shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct OpClassProfile {
-    /// Dense matrix ops: `Conv2d`, `MatMul`, `BatchMatMul`.
-    pub matrix: OpClassStats,
-    /// Depthwise convolutions (systolic-array-hostile: no input reuse
-    /// across output channels).
-    pub depthwise: OpClassStats,
-    /// Vector/activation work: `Softmax`, `Norm`, `Elementwise`, `Pool`.
-    pub vector: OpClassStats,
-    /// Memory-dominated ops: `Embedding`, `DataMovement`, `Concat`.
-    pub memory: OpClassStats,
-}
-
-impl OpClassProfile {
-    /// The classes in a fixed order, labelled — the stable feature layout
-    /// surrogate models rely on.
-    #[must_use]
-    pub fn classes(&self) -> [(&'static str, OpClassStats); 4] {
-        [
-            ("matrix", self.matrix),
-            ("depthwise", self.depthwise),
-            ("vector", self.vector),
-            ("memory", self.memory),
-        ]
-    }
-
-    /// Total FLOPs across every class.
-    #[must_use]
-    pub fn total_flops(&self) -> u64 {
-        self.classes().iter().map(|(_, c)| c.flops).sum()
-    }
-}
-
-/// Aggregates `graph` into per-op-class compute/traffic totals.
-#[must_use]
-pub fn op_class_profile(graph: &Graph) -> OpClassProfile {
-    let mut profile = OpClassProfile::default();
-    for n in graph.nodes() {
-        let class = match n.kind() {
-            OpKind::Input => continue,
-            OpKind::Conv2d(_) | OpKind::MatMul(_) | OpKind::BatchMatMul(_) => &mut profile.matrix,
-            OpKind::DepthwiseConv2d(_) => &mut profile.depthwise,
-            OpKind::Softmax(_) | OpKind::Norm(_) | OpKind::Elementwise(_) | OpKind::Pool(_) => {
-                &mut profile.vector
-            }
-            OpKind::Embedding { .. } | OpKind::DataMovement | OpKind::Concat => &mut profile.memory,
-        };
-        let bytes = graph.node_input_bytes(n.id())
-            + graph.node_output_bytes(n.id())
-            + graph.node_accessed_weight_bytes(n.id());
-        class.add(graph.node_flops(n.id()), bytes);
-    }
-    profile
-}
-
 fn region_traffic(rg: &RegionGraph) -> u64 {
     rg.compute_regions().map(crate::fusion_regions::Region::dram_bytes).sum()
 }
@@ -289,26 +208,5 @@ mod tests {
         for s in FusionStrategy::ALL {
             assert!(!s.label().is_empty());
         }
-    }
-
-    #[test]
-    fn op_class_profile_partitions_the_graph() {
-        let g = ds_graph();
-        let p = op_class_profile(&g);
-        // dw -> swish -> pw: one op per involved class, none memory-bound.
-        assert_eq!(p.depthwise.ops, 1);
-        assert_eq!(p.vector.ops, 1);
-        assert_eq!(p.matrix.ops, 1);
-        assert_eq!(p.memory, OpClassStats::default());
-        // The partition covers every FLOP exactly once.
-        assert_eq!(p.total_flops(), g.total_flops());
-        assert!(p.matrix.flops > p.depthwise.flops, "pointwise conv dominates");
-        assert!(p.depthwise.bytes > 0 && p.vector.bytes > 0);
-        // The unfused per-class traffic sums to the no-fusion total.
-        let total_bytes: u64 = p.classes().iter().map(|(_, c)| c.bytes).sum();
-        assert_eq!(total_bytes, dram_traffic(&g, FusionStrategy::None));
-        // Fixed feature layout: four labelled classes, stable order.
-        let labels: Vec<_> = p.classes().iter().map(|(l, _)| *l).collect();
-        assert_eq!(labels, ["matrix", "depthwise", "vector", "memory"]);
     }
 }

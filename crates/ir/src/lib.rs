@@ -49,10 +49,7 @@ pub use builder::{GraphBuilder, Tensor};
 pub use dtype::DType;
 pub use fusion_regions::{build_regions, Region, RegionGraph, RegionId};
 pub use graph::{Graph, Node, NodeId};
-pub use intensity::{
-    dram_traffic, op_class_profile, operational_intensity, FusionStrategy, IntensityReport,
-    OpClassProfile, OpClassStats,
-};
+pub use intensity::{dram_traffic, operational_intensity, FusionStrategy, IntensityReport};
 pub use loop_nest::{LoopDim, LoopNest};
 pub use ops::{
     BatchMatMulGeom, Conv2dGeom, EwKind, MatMulGeom, NormKind, OpKind, PoolGeom, PoolKind,

@@ -465,9 +465,10 @@ const STUDY_FILE_NAME: &str = "study.bin";
 /// Magic prefix of study checkpoint files.
 const STUDY_MAGIC: [u8; 8] = *b"FASTSTU1";
 /// Checkpoint file format version; bump on layout changes.
-/// v2: checkpoints carry an optional [`FidelityCheckpoint`] (screener
-/// state, correlation pairs, screened-out trial markings).
-const STUDY_VERSION: u32 = 2;
+/// v2: checkpoints carry an optional [`FidelityCheckpoint`] (screening
+/// counters, correlation pairs, screened-out trial markings).
+/// v3: the [`FidelityCheckpoint`] no longer carries a screener state blob.
+const STUDY_VERSION: u32 = 3;
 
 /// Seed salt of the screening exploration RNG. Each screened round draws
 /// its exploration pick from `trial_rng(seed ^ SCREEN_SEED_SALT,
@@ -624,7 +625,7 @@ impl<'s> Study<'s> {
         &self,
         optimizer: &mut dyn Optimizer,
         eval: StudyEval<'_>,
-        screener: &mut dyn Screener,
+        screener: &dyn Screener,
     ) -> Result<StudyReport, StudyConfigError> {
         self.run_with(optimizer, eval, Some(screener), None)
     }
@@ -637,7 +638,7 @@ impl<'s> Study<'s> {
         &self,
         optimizer: &mut dyn Optimizer,
         eval: StudyEval<'_>,
-        screener: &mut dyn Screener,
+        screener: &dyn Screener,
         observer: &mut dyn FnMut(&StudyProgress),
     ) -> Result<StudyReport, StudyConfigError> {
         self.run_with(optimizer, eval, Some(screener), Some(observer))
@@ -665,7 +666,7 @@ impl<'s> Study<'s> {
         &self,
         optimizer: &mut dyn Optimizer,
         eval: StudyEval<'_>,
-        screener: Option<&mut dyn Screener>,
+        screener: Option<&dyn Screener>,
         mut observer: Option<&mut dyn FnMut(&StudyProgress)>,
     ) -> Result<StudyReport, StudyConfigError> {
         self.validate(&eval)?;
@@ -847,13 +848,13 @@ impl<'s> Study<'s> {
 
     /// Scores one screened round: ranks `points` with the screener, fully
     /// evaluates the kept subset, and fills the rest with
-    /// [`MultiObjective::Surrogate`] outcomes. Rounds proposed while the
-    /// screener is still warming up keep everything (that is how an online
-    /// tier earns its training set). One kept slot per screened round is an
-    /// exploration pick — a uniformly random screened-out candidate drawn
-    /// from [`trial_rng`]`(seed ^ `[`SCREEN_SEED_SALT`]`, round_start)` —
-    /// so a systematically wrong surrogate keeps receiving corrective
-    /// observations instead of locking the search into its own bias.
+    /// [`MultiObjective::Surrogate`] outcomes. Rounds proposed during the
+    /// [`crate::S0_BURN_IN`] window keep everything (that is how the Pareto
+    /// archive gets seeded across the design range). One kept slot per
+    /// screened round is an exploration pick — a uniformly random screened-out
+    /// candidate drawn from [`trial_rng`]`(seed ^ `[`SCREEN_SEED_SALT`]`, round_start)`
+    /// — so a systematically wrong surrogate cannot lock the search into its
+    /// own bias.
     fn screen_round(
         &self,
         eng: &mut ScreenEngine<'_>,
@@ -864,7 +865,7 @@ impl<'s> Study<'s> {
     ) -> Vec<MultiObjective> {
         use rand::Rng;
         let round = points.len();
-        let ready = eng.screener.ready();
+        let ready = eng.ready();
         let scores: Option<Vec<f64>> =
             ready.then(|| points.iter().map(|p| eng.screener.score(p)).collect());
         let keep = if ready { eng.fidelity.keep_of_round(round) } else { round };
@@ -888,20 +889,13 @@ impl<'s> Study<'s> {
         assert_eq!(kept_results.len(), kept.len(), "evaluator must score every kept point");
         let mut merged: Vec<MultiObjective> = match &scores {
             Some(sc) => sc.iter().map(|&s| MultiObjective::Surrogate { guide: s }).collect(),
-            // Warm-up round: every slot is overwritten below.
+            // Burn-in round: every slot is overwritten below.
             None => vec![MultiObjective::Invalid; round],
         };
         for (&i, result) in kept.iter().zip(kept_results) {
-            if let MultiObjective::Valid { guide, .. } = &result {
-                if let Some(sc) = &scores {
-                    eng.pairs.push((sc[i], *guide));
-                }
+            if let (MultiObjective::Valid { guide, .. }, Some(sc)) = (&result, &scores) {
+                eng.pairs.push((sc[i], *guide));
             }
-            let guide = match &result {
-                MultiObjective::Valid { guide, .. } => Some(*guide),
-                MultiObjective::Invalid | MultiObjective::Surrogate { .. } => None,
-            };
-            eng.screener.observe(&points[i], guide);
             merged[i] = result;
         }
         eng.full_evals += kept.len();
@@ -1045,7 +1039,7 @@ impl<'s> Study<'s> {
             &scalar,
         );
         match (screen, fidelity) {
-            (Some(eng), Some(fid)) => restore_screen(eng, fid, &st.trials),
+            (Some(eng), Some(fid)) => restore_screen(eng, fid),
             (None, None) => {}
             // The disk loader rejects such files before they get here, so
             // a mismatch is a programmatic-resume caller bug.
@@ -1187,7 +1181,6 @@ fn fidelity_checkpoint(eng: &ScreenEngine<'_>, trials: &[MultiTrial]) -> Fidelit
         full_evals: eng.full_evals,
         screened_out: eng.screened_out,
         pairs: eng.pairs.clone(),
-        screener: eng.screener.save_state(),
         screened: trials
             .iter()
             .enumerate()
@@ -1199,24 +1192,13 @@ fn fidelity_checkpoint(eng: &ScreenEngine<'_>, trials: &[MultiTrial]) -> Fidelit
     }
 }
 
-/// Rebuilds a [`ScreenEngine`]'s state from a checkpoint sidecar. The
-/// screener restores its serialized state directly; a screener that refuses
-/// the bytes is retrained by replaying every fully evaluated trial through
-/// [`Screener::observe`] — the same observations the original run fed it,
-/// in the same order, so both paths land on the same state.
-fn restore_screen(eng: &mut ScreenEngine<'_>, fid: FidelityCheckpoint, trials: &[MultiTrial]) {
+/// Rebuilds a [`ScreenEngine`]'s counters from a checkpoint sidecar. The
+/// restored `full_evals` is also the burn-in progress, so a study killed
+/// inside the burn-in window resumes it exactly where it stopped.
+fn restore_screen(eng: &mut ScreenEngine<'_>, fid: FidelityCheckpoint) {
     eng.full_evals = fid.full_evals;
     eng.screened_out = fid.screened_out;
     eng.pairs = fid.pairs;
-    if !eng.screener.load_state(&fid.screener) {
-        for t in trials {
-            match &t.result {
-                MultiObjective::Valid { guide, .. } => eng.screener.observe(&t.point, Some(*guide)),
-                MultiObjective::Invalid => eng.screener.observe(&t.point, None),
-                MultiObjective::Surrogate { .. } => {}
-            }
-        }
-    }
 }
 
 /// Rebuilds the tracked `(point, guide)` incumbent from a recorded trial
@@ -1707,45 +1689,16 @@ mod tests {
     }
 
     /// Deterministic test screener: scores with the same formula `score`
-    /// uses for the guide (a perfect surrogate), becomes ready after
-    /// `warmup` observations, and (when `restorable`) checkpoints its
-    /// observation count.
+    /// uses for the guide (a perfect surrogate) and counts its calls.
+    #[derive(Default)]
     struct ToyScreener {
-        warmup: usize,
-        seen: usize,
-        restorable: bool,
-    }
-
-    impl ToyScreener {
-        fn new(warmup: usize) -> Self {
-            ToyScreener { warmup, seen: 0, restorable: true }
-        }
+        calls: std::cell::Cell<usize>,
     }
 
     impl Screener for ToyScreener {
-        fn ready(&self) -> bool {
-            self.seen >= self.warmup
-        }
-
         fn score(&self, p: &[usize]) -> f64 {
+            self.calls.set(self.calls.get() + 1);
             (p[0] * 2 + p[1]) as f64
-        }
-
-        fn observe(&mut self, _point: &[usize], _guide: Option<f64>) {
-            self.seen += 1;
-        }
-
-        fn save_state(&self) -> Vec<u8> {
-            (self.seen as u64).to_le_bytes().to_vec()
-        }
-
-        fn load_state(&mut self, bytes: &[u8]) -> bool {
-            let Ok(raw) = <[u8; 8]>::try_from(bytes) else { return false };
-            if !self.restorable {
-                return false;
-            }
-            self.seen = u64::from_le_bytes(raw) as usize;
-            true
         }
     }
 
@@ -1765,11 +1718,11 @@ mod tests {
             .run(&mut opt, StudyEval::points(&mut eval));
         assert_eq!(got.map(|_| ()), Err(StudyConfigError::ScreenedWithoutScreener));
         // Screened fidelity under sequential execution.
-        let mut sc = ToyScreener::new(0);
+        let sc = ToyScreener::default();
         let got = Study::new(&s, 8).fidelity(screened(0.5, 1)).run_screened(
             &mut opt,
             StudyEval::points(&mut eval),
-            &mut sc,
+            &sc,
         );
         assert_eq!(got.map(|_| ()), Err(StudyConfigError::ScreenedSequentialExecution));
         // keep_fraction outside (0, 1] — including NaN.
@@ -1777,7 +1730,7 @@ mod tests {
             let got = Study::new(&s, 8)
                 .execution(Execution::Batched { batch_size: 4 })
                 .fidelity(screened(bad, 1))
-                .run_screened(&mut opt, StudyEval::points(&mut eval), &mut sc);
+                .run_screened(&mut opt, StudyEval::points(&mut eval), &sc);
             assert_eq!(got.map(|_| ()), Err(StudyConfigError::KeepFractionOutOfRange), "{bad}");
         }
     }
@@ -1802,10 +1755,9 @@ mod tests {
         let exact = base().run(&mut opt, StudyEval::shared(&eval)).unwrap();
 
         let mut opt = LcsSwarm::default();
-        let mut sc = ToyScreener::new(0);
         let kept_all = base()
             .fidelity(screened(1.0, 0))
-            .run_screened(&mut opt, StudyEval::shared(&eval), &mut sc)
+            .run_screened(&mut opt, StudyEval::shared(&eval), &ToyScreener::default())
             .unwrap();
         assert_eq!(kept_all.trials, exact.trials);
         assert_eq!(
@@ -1818,11 +1770,11 @@ mod tests {
         assert_eq!(fid.screened_out, 0);
 
         let mut opt = LcsSwarm::default();
-        let mut sc = ToyScreener::new(0);
-        let ignored = base().run_screened(&mut opt, StudyEval::shared(&eval), &mut sc).unwrap();
+        let sc = ToyScreener::default();
+        let ignored = base().run_screened(&mut opt, StudyEval::shared(&eval), &sc).unwrap();
         assert_eq!(ignored.trials, exact.trials);
         assert!(ignored.fidelity.is_none(), "Exact fidelity reports no screening");
-        assert_eq!(sc.seen, 0, "Exact fidelity never touches the screener");
+        assert_eq!(sc.calls.get(), 0, "Exact fidelity never touches the screener");
     }
 
     /// Partial screening: only the kept fraction reaches the evaluator,
@@ -1839,18 +1791,18 @@ mod tests {
             points.iter().map(|p| score(p)).collect::<Vec<_>>()
         };
         let mut opt = RandomSearch::new();
-        // Warmup of 8 = exactly the first round: round 1 is fully
-        // evaluated, every later round keeps 2 of 8.
-        let mut sc = ToyScreener::new(8);
+        // A burn-in of S0_BURN_IN = 8 is exactly the first round: round 1 is
+        // fully evaluated, every later round keeps 2 of 8.
+        let sc = ToyScreener::default();
         let report = Study::new(&s, 64)
             .seed(3)
             .objective(StudyObjective::pareto(&dirs))
             .execution(Execution::Batched { batch_size: 8 })
             .fidelity(screened(0.25, 2))
-            .run_screened(&mut opt, StudyEval::batch(&mut eval), &mut sc)
+            .run_screened(&mut opt, StudyEval::batch(&mut eval), &sc)
             .unwrap();
         let fid = report.fidelity.expect("screened studies report fidelity");
-        assert_eq!(fid.full_evals, 8 + 7 * 2);
+        assert_eq!(fid.full_evals, crate::S0_BURN_IN + 7 * 2);
         assert_eq!(fid.screened_out, 64 - fid.full_evals);
         assert_eq!(evals, fid.full_evals, "only kept trials reach the evaluator");
         assert!(fid.savings_factor() > 2.5, "factor = {}", fid.savings_factor());
@@ -1872,46 +1824,75 @@ mod tests {
         }
     }
 
-    /// Kill-and-rerun bit-identity holds on the screened axis too — both
-    /// when the screener restores its serialized state and when it refuses
-    /// the bytes and is retrained by observation replay.
+    /// A screened study run to `trials` — ephemerally, or checkpointed
+    /// under `dir` (resuming whatever the directory holds).
+    fn run_screened_pareto(
+        s: &ParamSpace,
+        trials: usize,
+        batch_size: usize,
+        dir: Option<&Path>,
+    ) -> StudyReport {
+        let dirs = [MetricDirection::Maximize, MetricDirection::Minimize];
+        let eval = |p: &[usize]| score(p);
+        let durability = dir.map_or(Durability::Ephemeral, |dir| Durability::Checkpointed {
+            dir: dir.to_path_buf(),
+            every: 1,
+        });
+        let mut opt = LcsSwarm::default();
+        Study::new(s, trials)
+            .seed(11)
+            .objective(StudyObjective::pareto(&dirs))
+            .execution(Execution::Batched { batch_size })
+            .fidelity(screened(0.25, 2))
+            .durability(durability)
+            .run_screened(&mut opt, StudyEval::shared(&eval), &ToyScreener::default())
+            .unwrap()
+    }
+
+    /// Asserts a resumed screened study reproduced the uninterrupted one:
+    /// the same trial record (so the same kept sets, with the same
+    /// surrogate markings), convergence, frontier and fidelity report.
+    fn assert_same_screened_run(resumed: &StudyReport, straight: &StudyReport) {
+        assert_eq!(resumed.trials, straight.trials);
+        assert_eq!(
+            resumed.convergence.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            straight.convergence.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(resumed.frontier, straight.frontier);
+        assert_eq!(resumed.fidelity, straight.fidelity);
+    }
+
+    /// Kill-and-rerun bit-identity holds on the screened axis too.
     #[test]
     fn screened_checkpointed_rerun_is_bit_identical() {
         let s = space();
-        let dirs = [MetricDirection::Maximize, MetricDirection::Minimize];
-        let eval = |p: &[usize]| score(p);
-        for restorable in [true, false] {
-            let mk_sc = || ToyScreener { warmup: 8, seen: 0, restorable };
-            let run = |trials: usize, durability: Durability, sc: &mut ToyScreener| {
-                let mut opt = LcsSwarm::default();
-                Study::new(&s, trials)
-                    .seed(11)
-                    .objective(StudyObjective::pareto(&dirs))
-                    .execution(Execution::Batched { batch_size: 8 })
-                    .fidelity(screened(0.25, 2))
-                    .durability(durability)
-                    .run_screened(&mut opt, StudyEval::shared(&eval), sc)
-                    .unwrap()
-            };
-            let straight = run(64, Durability::Ephemeral, &mut mk_sc());
+        let straight = run_screened_pareto(&s, 64, 8, None);
+        let dir = scratch_dir("screened");
+        let partial = run_screened_pareto(&s, 24, 8, Some(&dir));
+        assert!(partial.checkpoint.as_ref().unwrap().saves > 0);
+        let resumed = run_screened_pareto(&s, 64, 8, Some(&dir));
+        assert_eq!(resumed.checkpoint.as_ref().unwrap().resumed_trials, 24);
+        assert_same_screened_run(&resumed, &straight);
+    }
 
-            let dir = scratch_dir(&format!("screened-{restorable}"));
-            let durable = || Durability::Checkpointed { dir: dir.clone(), every: 1 };
-            let partial = run(24, durable(), &mut mk_sc());
-            assert!(partial.checkpoint.as_ref().unwrap().saves > 0);
-
-            let resumed = run(64, durable(), &mut mk_sc());
-            let label = format!("restorable={restorable}");
-            assert_eq!(resumed.checkpoint.as_ref().unwrap().resumed_trials, 24, "{label}");
-            assert_eq!(resumed.trials, straight.trials, "{label}");
-            assert_eq!(
-                resumed.convergence.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                straight.convergence.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{label}"
-            );
-            assert_eq!(resumed.frontier, straight.frontier, "{label}");
-            assert_eq!(resumed.fidelity, straight.fidelity, "{label}");
-        }
+    /// Burn-in progress is the checkpointed `full_evals` counter: a study
+    /// killed inside the burn-in window resumes it where it stopped, so the
+    /// first screened round, every kept set after it and the fidelity
+    /// report all match an uninterrupted run.
+    #[test]
+    fn screened_study_killed_inside_burn_in_resumes_identically() {
+        let s = space();
+        let straight = run_screened_pareto(&s, 48, 4, None);
+        let dir = scratch_dir("screened-burn-in");
+        let partial = run_screened_pareto(&s, 4, 4, Some(&dir));
+        let fid = partial.fidelity.as_ref().expect("screened studies report fidelity");
+        assert!(fid.full_evals < crate::S0_BURN_IN, "killed inside the burn-in");
+        assert_eq!(fid.screened_out, 0);
+        let resumed = run_screened_pareto(&s, 48, 4, Some(&dir));
+        assert_eq!(resumed.checkpoint.as_ref().unwrap().resumed_trials, 4);
+        assert_same_screened_run(&resumed, &straight);
+        let fid = straight.fidelity.as_ref().unwrap();
+        assert_eq!(fid.full_evals, crate::S0_BURN_IN + 10 * 2, "two burn-in rounds, then 2 of 4");
     }
 
     /// A checkpoint written under one fidelity configuration must not be
@@ -1933,13 +1914,13 @@ mod tests {
         };
         let run_screened = |trials: usize| {
             let mut opt = RandomSearch::new();
-            let mut sc = ToyScreener::new(4);
+            let sc = ToyScreener::default();
             Study::new(&s, trials)
                 .seed(2)
                 .execution(Execution::Batched { batch_size: 4 })
                 .fidelity(screened(0.5, 1))
                 .durability(Durability::Checkpointed { dir: dir.clone(), every: 1 })
-                .run_screened(&mut opt, StudyEval::shared(&eval), &mut sc)
+                .run_screened(&mut opt, StudyEval::shared(&eval), &sc)
                 .unwrap()
         };
         let _ = run_exact(16);

@@ -60,7 +60,7 @@ pub use optimizer::{Optimizer, Trial, TrialResult};
 pub use pareto::{
     FrontierPoint, MetricDirection, MultiObjective, MultiTrial, ParetoArchive, ParetoStudyResult,
 };
-pub use screen::{Fidelity, FidelityReport, Screener, SurrogateTier};
+pub use screen::{Fidelity, FidelityReport, Screener, SurrogateTier, S0_BURN_IN};
 pub use snapshot::{FidelityCheckpoint, OptimizerState, ParetoCheckpoint, StudyCheckpoint};
 pub use space::{ParamDef, ParamDomain, ParamSpace};
 pub use stats::{kendall_tau, spearman_rank};
@@ -106,29 +106,15 @@ mod proptests {
 
     /// A screener that counts calls; the fidelity properties only ever hand
     /// it to studies that must ignore it or keep every proposal.
+    #[derive(Default)]
     struct OracleScreener {
-        seen: usize,
+        seen: std::cell::Cell<usize>,
     }
 
     impl Screener for OracleScreener {
-        fn ready(&self) -> bool {
-            true
-        }
-
         fn score(&self, p: &[usize]) -> f64 {
+            self.seen.set(self.seen.get() + 1);
             (p[0] * 2 + p[1]) as f64
-        }
-
-        fn observe(&mut self, _point: &[usize], _guide: Option<f64>) {
-            self.seen += 1;
-        }
-
-        fn save_state(&self) -> Vec<u8> {
-            Vec::new()
-        }
-
-        fn load_state(&mut self, _bytes: &[u8]) -> bool {
-            true
         }
     }
 
@@ -259,12 +245,12 @@ mod proptests {
                     .fidelity(Fidelity::Exact)
                     .run(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval))
                     .expect("valid configuration");
-                let mut sc = OracleScreener { seen: 0 };
+                let sc = OracleScreener::default();
                 let handed = base()
                     .fidelity(Fidelity::Exact)
-                    .run_screened(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), &mut sc)
+                    .run_screened(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), &sc)
                     .expect("valid configuration");
-                prop_assert_eq!(sc.seen, 0, "Exact fidelity must never touch the screener");
+                prop_assert_eq!(sc.seen.get(), 0, "Exact fidelity must never touch the screener");
                 for report in [&explicit, &handed] {
                     prop_assert_eq!(&report.trials, &pre_axis.trials);
                     prop_assert_eq!(&report.frontier, &pre_axis.frontier);
@@ -306,14 +292,14 @@ mod proptests {
                 let exact = base()
                     .run(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval))
                     .expect("valid configuration");
-                let mut sc = OracleScreener { seen: 0 };
+                let sc = OracleScreener::default();
                 let screened = base()
                     .fidelity(Fidelity::Screened {
                         keep_fraction: 1.0,
                         min_full,
                         tier: SurrogateTier::S0,
                     })
-                    .run_screened(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), &mut sc)
+                    .run_screened(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), &sc)
                     .expect("valid configuration");
                 prop_assert_eq!(&screened.trials, &exact.trials);
                 prop_assert_eq!(&screened.frontier, &exact.frontier);

@@ -20,21 +20,17 @@ use std::fmt;
 pub enum SurrogateTier {
     /// Analytical roofline bound: per-workload latency lower bounds from
     /// operational-intensity statistics and the candidate's peak compute /
-    /// bandwidth. No fitting, usable from the first round.
+    /// bandwidth. No fitting; screening starts after [`S0_BURN_IN`] full
+    /// evaluations.
     S0,
-    /// Online predictor fitted from accumulated true evaluations (ridge
-    /// regression over roofline-derived features); falls back to the S0
-    /// bound until enough observations accumulate.
-    S1,
 }
 
 impl SurrogateTier {
-    /// Display label (`s0` / `s1`, the CLI spelling).
+    /// Display label (`s0`, the CLI spelling).
     #[must_use]
     pub const fn label(self) -> &'static str {
         match self {
             SurrogateTier::S0 => "s0",
-            SurrogateTier::S1 => "s1",
         }
     }
 
@@ -43,7 +39,6 @@ impl SurrogateTier {
     pub fn by_name(name: &str) -> Option<SurrogateTier> {
         match name {
             "s0" => Some(SurrogateTier::S0),
-            "s1" => Some(SurrogateTier::S1),
             _ => None,
         }
     }
@@ -94,37 +89,29 @@ impl Fidelity {
     }
 }
 
+/// Full evaluations a screened study runs before it starts screening.
+///
+/// The roofline tier fits no model, but screening from the very first round
+/// starves the Pareto archive: a scalar-guide ranking keeps only
+/// high-objective candidates, and the frontier's low-power / low-area corner
+/// is never simulated. A short full-fidelity burn-in seeds the archive
+/// across the whole design range before thinning begins — measured on the
+/// Table-3 smoke it is the difference between retaining ~20% and ~100% of
+/// the exact frontier's hypervolume. Burn-in progress is the
+/// [`FidelityReport::full_evals`] counter itself, so a checkpoint needs no
+/// screener state to resume it.
+pub const S0_BURN_IN: usize = 8;
+
 /// A surrogate predictor that ranks proposals for a screened study.
 ///
 /// Implementations must be **deterministic**: `score` is a pure function of
-/// the point and the observations fed through `observe` so far — the
-/// screened trial sequence is part of the study's reproducibility contract
-/// (same seed, same screener state ⇒ same kept set).
+/// the point — the screened trial sequence is part of the study's
+/// reproducibility contract (same seed ⇒ same kept set).
 pub trait Screener {
-    /// Whether scores are meaningful yet. Rounds proposed while the
-    /// screener is warming up are fully evaluated (and observed), which is
-    /// how an online tier accumulates its training set.
-    fn ready(&self) -> bool;
-
     /// Predicted guide objective of `point` — only the induced *ranking*
     /// matters. Return [`f64::NEG_INFINITY`] for points the surrogate can
     /// already tell are infeasible.
     fn score(&self, point: &[usize]) -> f64;
-
-    /// Feeds one fully evaluated outcome back: `Some(guide)` for a valid
-    /// trial, `None` for a rejection. Called for every trial that reached
-    /// the real evaluator, in proposal order.
-    fn observe(&mut self, point: &[usize], guide: Option<f64>);
-
-    /// Serializes the fitted state (checkpoint payload). Stateless
-    /// screeners return an empty vector.
-    fn save_state(&self) -> Vec<u8>;
-
-    /// Restores state saved by [`Screener::save_state`]. Returns `false` if
-    /// the bytes do not belong to this screener configuration — the caller
-    /// then rebuilds the state by replaying the recorded trials through
-    /// [`Screener::observe`].
-    fn load_state(&mut self, bytes: &[u8]) -> bool;
 }
 
 /// What screening did during a run — attached to
@@ -142,8 +129,7 @@ pub struct FidelityReport {
     /// Trials recorded with surrogate scores instead of full evaluations.
     pub screened_out: usize,
     /// Number of (surrogate score, true objective) pairs accumulated —
-    /// one per fully evaluated *valid* trial scored while the screener was
-    /// ready.
+    /// one per fully evaluated *valid* trial scored after the burn-in.
     pub pairs: usize,
     /// Spearman rank correlation of surrogate scores against true
     /// objectives over those pairs (`None` below two pairs or for a
@@ -171,18 +157,23 @@ impl FidelityReport {
 /// screener plus the accumulated counters and correlation pairs. Lives in
 /// this module so the checkpoint layer can rebuild it field-for-field.
 pub(crate) struct ScreenEngine<'c> {
-    pub(crate) screener: &'c mut dyn Screener,
+    pub(crate) screener: &'c dyn Screener,
     pub(crate) fidelity: Fidelity,
     pub(crate) full_evals: usize,
     pub(crate) screened_out: usize,
     /// `(surrogate score, true guide)` per fully evaluated valid trial that
-    /// was scored while the screener was ready.
+    /// was scored after the burn-in.
     pub(crate) pairs: Vec<(f64, f64)>,
 }
 
 impl<'c> ScreenEngine<'c> {
-    pub(crate) fn new(screener: &'c mut dyn Screener, fidelity: Fidelity) -> Self {
+    pub(crate) fn new(screener: &'c dyn Screener, fidelity: Fidelity) -> Self {
         ScreenEngine { screener, fidelity, full_evals: 0, screened_out: 0, pairs: Vec::new() }
+    }
+
+    /// Whether the [`S0_BURN_IN`] window is over and rounds get screened.
+    pub(crate) fn ready(&self) -> bool {
+        self.full_evals >= S0_BURN_IN
     }
 
     /// The report of the accumulated screening activity.
@@ -229,11 +220,10 @@ mod tests {
 
     #[test]
     fn tier_labels_round_trip() {
-        for tier in [SurrogateTier::S0, SurrogateTier::S1] {
-            assert_eq!(SurrogateTier::by_name(tier.label()), Some(tier));
-            assert_eq!(format!("{tier}"), tier.label());
-        }
-        assert_eq!(SurrogateTier::by_name("s2"), None);
+        let tier = SurrogateTier::S0;
+        assert_eq!(SurrogateTier::by_name(tier.label()), Some(tier));
+        assert_eq!(format!("{tier}"), tier.label());
+        assert_eq!(SurrogateTier::by_name("s1"), None);
     }
 
     #[test]

@@ -342,7 +342,6 @@ impl Encode for SurrogateTier {
     fn encode(&self, w: &mut Writer) {
         w.put_u8(match self {
             SurrogateTier::S0 => 0,
-            SurrogateTier::S1 => 1,
         });
     }
 }
@@ -351,7 +350,6 @@ impl Decode for SurrogateTier {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         match r.get_u8()? {
             0 => Ok(SurrogateTier::S0),
-            1 => Ok(SurrogateTier::S1),
             t => Err(DecodeError { offset: 0, what: format!("invalid SurrogateTier tag {t}") }),
         }
     }
@@ -467,14 +465,13 @@ pub struct FidelityCheckpoint {
     pub min_full: usize,
     /// Configured surrogate tier.
     pub tier: SurrogateTier,
-    /// Trials that reached the real evaluator so far.
+    /// Trials that reached the real evaluator so far — also the burn-in
+    /// progress ([`crate::S0_BURN_IN`]).
     pub full_evals: usize,
     /// Trials screened out so far.
     pub screened_out: usize,
     /// Accumulated `(surrogate score, true guide)` correlation pairs.
     pub pairs: Vec<(f64, f64)>,
-    /// The screener's serialized state ([`crate::Screener::save_state`]).
-    pub screener: Vec<u8>,
     /// `(trial index, surrogate score)` of every screened-out trial. Scalar
     /// checkpoints store the lossy stream the optimizer observed (where a
     /// screened-out trial is a plain `Invalid`), so the Surrogate markings
@@ -491,7 +488,6 @@ impl Encode for FidelityCheckpoint {
             full_evals,
             screened_out,
             pairs,
-            screener,
             screened,
         } = self;
         keep_fraction.encode(w);
@@ -500,7 +496,6 @@ impl Encode for FidelityCheckpoint {
         full_evals.encode(w);
         screened_out.encode(w);
         pairs.encode(w);
-        screener.encode(w);
         screened.encode(w);
     }
 }
@@ -514,7 +509,6 @@ impl Decode for FidelityCheckpoint {
             full_evals: Decode::decode(r)?,
             screened_out: Decode::decode(r)?,
             pairs: Decode::decode(r)?,
-            screener: Decode::decode(r)?,
             screened: Decode::decode(r)?,
         })
     }
@@ -782,11 +776,10 @@ mod tests {
         let fid = FidelityCheckpoint {
             keep_fraction: 0.25,
             min_full: 2,
-            tier: SurrogateTier::S1,
+            tier: SurrogateTier::S0,
             full_evals: 6,
             screened_out: 2,
             pairs: vec![(1.5, 2.5), (f64::NEG_INFINITY, 0.0)],
-            screener: vec![1, 2, 3],
             screened: vec![(3, 0.75), (5, f64::NEG_INFINITY)],
         };
         let ck = StudyCheckpoint {
@@ -818,7 +811,7 @@ mod tests {
         for fidelity in [
             Fidelity::Exact,
             Fidelity::Screened { keep_fraction: 0.125, min_full: 2, tier: SurrogateTier::S0 },
-            Fidelity::Screened { keep_fraction: 1.0, min_full: 0, tier: SurrogateTier::S1 },
+            Fidelity::Screened { keep_fraction: 1.0, min_full: 0, tier: SurrogateTier::S0 },
         ] {
             let mut w = Writer::new();
             fidelity.encode(&mut w);
@@ -827,6 +820,8 @@ mod tests {
             assert_eq!(Fidelity::decode(&mut r).unwrap(), fidelity);
             assert!(r.is_done());
         }
+        let err = SurrogateTier::decode(&mut Reader::new(&[1])).unwrap_err();
+        assert!(err.what.contains("SurrogateTier tag 1"), "{}", err.what);
     }
 
     #[test]
@@ -843,7 +838,7 @@ mod tests {
                 kendall: Some(0.81),
             },
             FidelityReport {
-                tier: SurrogateTier::S1,
+                tier: SurrogateTier::S0,
                 keep_fraction: 1.0,
                 min_full: 0,
                 full_evals: 48,

@@ -928,7 +928,7 @@ mod tests {
                 fidelity: Fidelity::Screened {
                     keep_fraction: 0.25,
                     min_full: 2,
-                    tier: SurrogateTier::S1,
+                    tier: SurrogateTier::S0,
                 },
             },
         }

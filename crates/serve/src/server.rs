@@ -365,6 +365,7 @@ fn run_job(shared: &Shared, id: JobId) {
             // run, so cold-start and crash-restart are one code path.
             resume: true,
             observer: Some(&mut observe),
+            ..SweepSession::default()
         })
         // `_sink` drops here, closing the channel and ending the
         // forwarder before the scope joins it.

@@ -139,3 +139,13 @@ pub fn expected_points(spec: &JobSpec) -> String {
 pub fn outcome_points(outcome: &fast_serve::JobOutcome) -> String {
     points_table(&outcome.scenarios)
 }
+
+/// Rewrites the surrogate-tier byte of an encoded screened spec to tag 1,
+/// the wire tag of a tier this build no longer has. The tier is the last
+/// byte of a `JobSpec` encoding: the fidelity closes the sweep config, which
+/// closes the spec.
+pub fn retire_tier(spec_bytes: &mut [u8]) {
+    let tier = spec_bytes.last_mut().expect("non-empty spec encoding");
+    assert_eq!(*tier, 0, "a screened spec ends in the S0 tier tag");
+    *tier = 1;
+}

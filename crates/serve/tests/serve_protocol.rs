@@ -9,11 +9,13 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use common::{b0, scratch, spec_one, ServerProc};
+use common::{b0, retire_tier, scratch, spec_one, ServerProc};
+use fast_core::{Fidelity, SurrogateTier};
 use fast_serve::{
     read_frame, write_frame, ClientError, FrameError, ListenAddr, RejectReason, Request, Response,
     MAGIC, VERSION,
 };
+use serde::bin::{Encode, Writer};
 
 /// A raw TCP connection to the daemon, bypassing [`fast_serve::Client`] so
 /// tests can speak the protocol wrong on purpose. Reads are bounded: a
@@ -171,6 +173,39 @@ fn semantic_nonsense_gets_semantic_rejects() {
             }
             other => panic!("expected UnknownJob for {req:?}, got {other:?}"),
         }
+    }
+    assert_alive(&server);
+}
+
+#[test]
+fn submit_with_an_unknown_surrogate_tier_is_a_typed_reject() {
+    let journal = scratch("proto-tier");
+    let server = ServerProc::spawn(&journal, &[]);
+
+    let mut spec = spec_one("tier", b0(), 8, 4);
+    spec.config.fidelity =
+        Fidelity::Screened { keep_fraction: 0.25, min_full: 2, tier: SurrogateTier::S0 };
+    let mut w = Writer::new();
+    spec.encode(&mut w);
+    let spec_bytes = w.into_bytes();
+    let mut w = Writer::new();
+    Request::Submit { spec, watch: false }.encode(&mut w);
+    let mut payload = w.into_bytes();
+    // A Submit payload is the one-byte request tag, the spec, then `watch`.
+    let spec_at = 1..1 + spec_bytes.len();
+    assert_eq!(payload[spec_at.clone()], spec_bytes[..], "the spec follows the tag");
+    retire_tier(&mut payload[spec_at]);
+
+    // A well-formed envelope, so only the payload decode can object.
+    let frame = serde::bin::write_envelope(MAGIC, VERSION, &payload);
+    match send_and_read(&server, &frame) {
+        Some(Response::Rejected { reason: RejectReason::BadFrame { what } }) => {
+            assert!(
+                what.contains("SurrogateTier tag 1"),
+                "the reject should name the tag: {what:?}"
+            );
+        }
+        other => panic!("expected a typed BadFrame reject, got {other:?}"),
     }
     assert_alive(&server);
 }

@@ -3,13 +3,16 @@
 //! full-sim counts, per-scenario [`FidelityReport`]s) and still produce a
 //! result bit-identical to a single-process screened sweep of the same
 //! spec — while an [`Fidelity::Exact`] job streams no surrogate fields at
-//! all.
+//! all. A spec naming a surrogate tier this build does not know — over the
+//! wire or in the journal — is hostile input: a typed reject or a damaged
+//! job, never a panic.
 
 mod common;
 
-use common::{b0, expected_points, outcome_points, scratch, spec_one, ServerProc};
-use fast_core::{Fidelity, SurrogateTier};
-use fast_serve::JobEvent;
+use common::{b0, expected_points, outcome_points, retire_tier, scratch, spec_one, ServerProc};
+use fast_core::{Fidelity, JobJournal, JobState, SurrogateTier};
+use fast_serve::{JobEvent, JobPhase, Request, Response};
+use serde::bin::{read_envelope, write_envelope};
 
 // 32 trials at batch 8: an 8-trial burn-in round, then three screened
 // rounds keeping 2 of 8 — 14 full sims, a 2.3x thinning.
@@ -96,4 +99,41 @@ fn exact_job_streams_no_surrogate_fields() {
         }
     }
     assert!(outcome.scenarios.iter().all(|s| s.fidelity.is_none()));
+}
+
+#[test]
+fn journaled_job_with_a_retired_tier_restarts_as_damaged() {
+    let root = scratch("screened-retired-journal");
+    let journal = JobJournal::open(&root).expect("journal");
+    let id = journal.create(&screened_spec("retired-journal")).expect("job journaled");
+    // Rewrite the tier inside the spec file, keeping its envelope intact
+    // so only the payload decode can notice.
+    let path = journal.job_dir(id).join("job.bin");
+    let file = std::fs::read(&path).expect("spec file");
+    let magic: [u8; 8] = file[..8].try_into().expect("8-byte magic");
+    let version = u32::from_le_bytes(file[8..12].try_into().expect("4-byte version"));
+    let mut payload = read_envelope(magic, version, &file).expect("intact spec file").to_vec();
+    retire_tier(&mut payload);
+    std::fs::write(&path, write_envelope(magic, version, &payload)).expect("rewrite spec");
+
+    let jobs = journal.jobs().expect("journal lists");
+    let JobState::Damaged(what) = &jobs[0].state else {
+        panic!("expected Damaged, got {:?}", jobs[0].state)
+    };
+    assert!(what.contains("SurrogateTier tag 1"), "{what}");
+
+    // A daemon restarted on the journal lists the job as damaged instead of
+    // resuming it, and keeps serving.
+    let server = ServerProc::spawn(&root, &[]);
+    let mut client = server.client();
+    match client.request(&Request::List).expect("answered") {
+        Response::Jobs { jobs } => match &jobs[..] {
+            [(job, JobPhase::Damaged { what })] if *job == id.0 => {
+                assert!(what.contains("SurrogateTier tag 1"), "{what}");
+            }
+            other => panic!("expected one damaged job, got {other:?}"),
+        },
+        other => panic!("expected a job list, got {other:?}"),
+    }
+    client.ping().expect("daemon still answers");
 }

@@ -15,7 +15,7 @@
 //! of float ops once the graph aggregates are cached.
 
 use fast_arch::{cost, DatapathConfig};
-use fast_ir::{dram_traffic, op_class_profile, FusionStrategy, Graph, OpClassProfile};
+use fast_ir::{dram_traffic, FusionStrategy, Graph};
 
 /// Which study guide the surrogate mimics. Mirrors the simulator's
 /// objective axis without depending on `fast-core` (which depends on us).
@@ -28,7 +28,7 @@ pub enum GuideMetric {
     PerfPerTdp,
 }
 
-/// Immutable per-`(workload, batch)` aggregates the surrogate tiers consume.
+/// Immutable per-`(workload, batch)` aggregates the S0 tier consumes.
 ///
 /// Everything a score needs from the IR is folded into these few floats, so
 /// graph construction and traversal happen once per batch size, not once
@@ -41,8 +41,6 @@ pub struct GraphLoad {
     pub flops: f64,
     /// DRAM bytes of one step under XLA-default fusion.
     pub dram_bytes: f64,
-    /// Per-op-class FLOP/byte split (unfused accounting) for S1 features.
-    pub profile: OpClassProfile,
 }
 
 impl GraphLoad {
@@ -53,7 +51,6 @@ impl GraphLoad {
             batch,
             flops: graph.total_flops() as f64,
             dram_bytes: dram_traffic(graph, FusionStrategy::XlaDefault) as f64,
-            profile: op_class_profile(graph),
         }
     }
 }
@@ -104,8 +101,6 @@ mod tests {
         assert_eq!(l.batch, 8);
         assert!(l.flops > 0.0);
         assert!(l.dram_bytes > 0.0);
-        // The op-class partition covers the whole graph.
-        assert!((l.profile.total_flops() as f64 - l.flops).abs() < 1e-6);
     }
 
     #[test]

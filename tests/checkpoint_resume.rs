@@ -14,7 +14,7 @@
 
 use fast::core::{
     BudgetLevel, Checkpointer, Fidelity, Objective, ScenarioMatrix, SurrogateTier, SweepConfig,
-    SweepRunner,
+    SweepRunner, SweepSession,
 };
 use fast::prelude::*;
 use std::path::PathBuf;
@@ -23,6 +23,11 @@ fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fast-ckpt-it-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// A session checkpointing under `ck`.
+fn durable(ck: &Checkpointer) -> SweepSession<'_> {
+    SweepSession { checkpointer: Some(ck), ..SweepSession::default() }
 }
 
 fn matrix() -> ScenarioMatrix {
@@ -48,13 +53,15 @@ fn interrupted_sweep_resumes_bit_identically_with_warm_cache() {
     // "Kill" after scenario k = 2: a prefix run persists exactly what a
     // SIGKILL at that boundary would have left on disk.
     let ck = Checkpointer::new(scratch_dir("kill-after-k")).unwrap();
-    let killed = SweepRunner::new(matrix(), config()).run_prefix(&ck, 2);
+    let killed = SweepRunner::new(matrix(), config())
+        .run_session(SweepSession { limit: Some(2), ..durable(&ck) });
     assert_eq!(killed.scenarios.len(), 2);
     assert!(ck.cache_path().exists(), "cache snapshot must exist at the kill point");
     assert!(ck.sweep_path().exists(), "scenario ledger must exist at the kill point");
 
     // A fresh runner — a fresh process, conceptually — resumes.
-    let resumed = SweepRunner::new(matrix(), config()).resume(&ck);
+    let resumed = SweepRunner::new(matrix(), config())
+        .run_session(SweepSession { resume: true, ..durable(&ck) });
     assert_eq!(resumed.scenarios.len(), uninterrupted.scenarios.len());
     for (a, b) in uninterrupted.scenarios.iter().zip(&resumed.scenarios) {
         assert_eq!(a.scenario.name, b.scenario.name);
@@ -86,11 +93,13 @@ fn mid_scenario_kill_loses_at_most_one_round() {
     // per-round cache saves happened), then delete the ledger so the
     // checkpoint looks like a run that died before any scenario boundary…
     let ck = Checkpointer::new(scratch_dir("mid-scenario")).unwrap();
-    let _ = SweepRunner::new(matrix(), config()).run_prefix(&ck, 1);
+    let _ = SweepRunner::new(matrix(), config())
+        .run_session(SweepSession { limit: Some(1), ..durable(&ck) });
     std::fs::remove_file(ck.sweep_path()).unwrap();
 
     // …and resume: scenario 0 re-runs as cache traffic, everything matches.
-    let resumed = SweepRunner::new(matrix(), config()).resume(&ck);
+    let resumed = SweepRunner::new(matrix(), config())
+        .run_session(SweepSession { resume: true, ..durable(&ck) });
     for (a, b) in uninterrupted.scenarios.iter().zip(&resumed.scenarios) {
         assert_eq!(a.frontier_points, b.frontier_points, "{}", a.scenario.name);
     }
@@ -102,16 +111,15 @@ fn mid_scenario_kill_loses_at_most_one_round() {
 }
 
 /// The interrupted-equals-uninterrupted contract holds on the fidelity
-/// axis too: a *screened* sweep (tier S1, so the checkpoint carries a
-/// fitted ridge model and burn-in progress) killed after scenario k and
-/// resumed from a fresh runner replays bit-identically — frontiers,
+/// axis too: an S0-*screened* sweep killed after scenario k and resumed
+/// from a fresh runner replays bit-identically — frontiers,
 /// trial records, and the full [`fast::core::FidelityReport`] accounting
 /// (counts and rank-correlation floats included).
 #[test]
 fn interrupted_screened_sweep_resumes_bit_identically() {
     let screened = |mut config: SweepConfig| {
         config.fidelity =
-            Fidelity::Screened { keep_fraction: 0.25, min_full: 2, tier: SurrogateTier::S1 };
+            Fidelity::Screened { keep_fraction: 0.25, min_full: 2, tier: SurrogateTier::S0 };
         config
     };
     let uninterrupted = SweepRunner::new(matrix(), screened(config())).run();
@@ -122,10 +130,12 @@ fn interrupted_screened_sweep_resumes_bit_identically() {
     }
 
     let ck = Checkpointer::new(scratch_dir("screened-kill")).unwrap();
-    let killed = SweepRunner::new(matrix(), screened(config())).run_prefix(&ck, 2);
+    let killed = SweepRunner::new(matrix(), screened(config()))
+        .run_session(SweepSession { limit: Some(2), ..durable(&ck) });
     assert_eq!(killed.scenarios.len(), 2);
 
-    let resumed = SweepRunner::new(matrix(), screened(config())).resume(&ck);
+    let resumed = SweepRunner::new(matrix(), screened(config()))
+        .run_session(SweepSession { resume: true, ..durable(&ck) });
     assert_eq!(resumed.scenarios.len(), uninterrupted.scenarios.len());
     for (a, b) in uninterrupted.scenarios.iter().zip(&resumed.scenarios) {
         assert_eq!(a.scenario.name, b.scenario.name);
@@ -263,10 +273,12 @@ fn corrupt_checkpoints_degrade_to_cold_but_correct_runs() {
         [("truncated", b"FASTEVC1".to_vec()), ("garbage", vec![0x5Au8; 512]), ("empty", Vec::new())]
     {
         let ck = Checkpointer::new(scratch_dir(&format!("corrupt-{name}"))).unwrap();
-        let _ = SweepRunner::new(matrix(), config()).run_prefix(&ck, 2);
+        let _ = SweepRunner::new(matrix(), config())
+            .run_session(SweepSession { limit: Some(2), ..durable(&ck) });
         std::fs::write(ck.cache_path(), &damage).unwrap();
         std::fs::write(ck.sweep_path(), &damage).unwrap();
-        let resumed = SweepRunner::new(matrix(), config()).resume(&ck);
+        let resumed = SweepRunner::new(matrix(), config())
+            .run_session(SweepSession { resume: true, ..durable(&ck) });
         for (a, b) in uninterrupted.scenarios.iter().zip(&resumed.scenarios) {
             assert_eq!(a.frontier_points, b.frontier_points, "{name}: {}", a.scenario.name);
         }
