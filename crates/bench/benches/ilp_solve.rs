@@ -47,15 +47,10 @@ fn exact_opts() -> FusionOptions {
 }
 
 /// The cold-solve configuration both solvers run under: the production
-/// node budget, no wall clock, and the greedy incumbent as the warm
-/// start — the exact seed `fuse_regions` uses.
+/// node budget and the greedy incumbent as the warm start — the exact seed
+/// `fuse_regions` uses.
 fn cold_opts(warm: Vec<f64>) -> SolveOptions {
-    SolveOptions {
-        max_nodes: FusionOptions::default().max_nodes,
-        time_limit: None,
-        gap_tol: 1e-6,
-        warm_start: Some(warm),
-    }
+    SolveOptions { max_nodes: FusionOptions::default().max_nodes, warm_start: Some(warm) }
 }
 
 /// One production fusion ILP plus its greedy warm start.

@@ -10,8 +10,8 @@ use crate::evaluate::{CacheStats, DesignEval, Evaluator, Objective, StagedCacheS
 use crate::search_space::FastSpace;
 use fast_arch::DatapathConfig;
 use fast_search::{
-    Durability, Execution, Fidelity, LcsSwarm, Optimizer, OptimizerState, RandomSearch, Study,
-    StudyConfigError, StudyEval, StudyReport, Tpe, Trial, TrialResult,
+    Durability, Execution, Fidelity, LcsSwarm, Optimizer, OptimizerState, RandomSearch, Screener,
+    Study, StudyConfigError, StudyEval, StudyReport, StudySession, Tpe, Trial, TrialResult,
 };
 use fast_sim::SimOptions;
 use fast_surrogate::{GuideMetric, SurrogateScreener};
@@ -237,9 +237,7 @@ pub struct SearchReport {
 /// the optimizer observes them, so thread scheduling cannot leak into the
 /// trial sequence. Worker threads share the evaluator's memoization table,
 /// so duplicate proposals within or across rounds cost one simulation
-/// total. (The guarantee assumes the evaluation pipeline is deterministic:
-/// true for the default heuristic fusion; see [`Evaluator::with_fusion`]
-/// for the wall-clock-bounded exact-ILP caveat.)
+/// total.
 ///
 /// **Durability:** [`Durability::Checkpointed`] persists both the study
 /// checkpoint (`study.bin`) and the evaluator's cache (`eval_cache.bin`)
@@ -410,10 +408,11 @@ impl<'e> FastStudy<'e> {
             .fidelity(self.fidelity)
             .execution(self.execution)
             .durability(self.durability.clone());
-        let study = match &screener {
-            Some(sc) => builder.run_screened(&mut opt, StudyEval::batch(&mut eval_round), sc)?,
-            None => builder.run(&mut opt, StudyEval::batch(&mut eval_round))?,
+        let session = StudySession {
+            screener: screener.as_ref().map(|sc| sc as &dyn Screener),
+            ..StudySession::default()
         };
+        let study = builder.run_session(&mut opt, StudyEval::batch(&mut eval_round), session)?;
 
         let best =
             study.best_point.as_ref().and_then(|p| self.evaluator.evaluate_point(&space, p).ok());

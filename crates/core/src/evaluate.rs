@@ -41,11 +41,10 @@ use fast_sim::{
 };
 use serde::bin::{self, Decode, Encode, Reader, Writer};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The optimization objective `f` (§5.2). Higher is better in all cases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -366,9 +365,6 @@ const _: () = {
     assert_send_sync::<EvalError>();
 };
 
-/// The immutable workload-graph cache, keyed by `(workload, batch)`.
-type GraphCache = Mutex<HashMap<(Workload, u64), Arc<fast_ir::Graph>>>;
-
 /// Evaluates design points for a fixed workload set, objective and budget.
 ///
 /// Clone-cheap: the graph cache and all three pipeline tiers are shared
@@ -405,7 +401,9 @@ pub struct Evaluator {
     objective: Objective,
     budget: Budget,
     fusion: FusionOptions,
-    graphs: Arc<GraphCache>,
+    /// Immutable workload graphs keyed by `(workload, batch)`; each is built
+    /// once, outside the tier's lock.
+    graphs: Arc<Tier<(Workload, u64), Arc<fast_ir::Graph>>>,
     mapper: Arc<MapperCache>,
     sims: Arc<Tier<SimTierKey, Result<Arc<SimStats>, SimError>>>,
     fuses: Arc<Tier<FuseKey, FusedSummary>>,
@@ -427,7 +425,7 @@ impl Evaluator {
             objective,
             budget,
             fusion: FusionOptions::heuristic_only(),
-            graphs: Arc::new(Mutex::new(HashMap::new())),
+            graphs: Arc::new(Tier::default()),
             mapper: Arc::new(MapperCache::new()),
             sims: Arc::new(Tier::default()),
             fuses: Arc::new(Tier::default()),
@@ -440,16 +438,6 @@ impl Evaluator {
     /// one-off reports). Safe to combine with a shared cache: fusion options
     /// are part of the fuse-tier key, and sweeping them re-solves at most
     /// the fusion stage — the op and sim tiers are shared untouched.
-    ///
-    /// **Determinism caveat:** the exact-ILP path (`exact_binary_limit > 0`)
-    /// is bounded by a wall-clock `time_limit`, so its incumbent can depend
-    /// on machine load. The default [`FusionOptions::heuristic_only`]
-    /// pipeline is a pure function of its inputs; prefer it (or an
-    /// effectively unlimited `time_limit` with a `max_nodes` bound, which is
-    /// deterministic) whenever reproducibility across runs matters — e.g.
-    /// under `Execution::Parallel`, whose sequential-equivalence guarantee
-    /// assumes a deterministic evaluation pipeline. Within one run the
-    /// cache is always self-consistent (first compute wins).
     #[must_use]
     pub fn with_fusion(mut self, fusion: FusionOptions) -> Self {
         self.fusion = fusion;
@@ -543,11 +531,9 @@ impl Evaluator {
     }
 
     fn graph(&self, w: Workload, batch: u64) -> Arc<fast_ir::Graph> {
-        let mut cache = self.graphs.lock().expect("graph cache poisoned");
-        cache
-            .entry((w, batch))
-            .or_insert_with(|| Arc::new(w.build(batch).expect("in-tree workloads always build")))
-            .clone()
+        self.graphs.get_or_compute((w, batch), || {
+            Arc::new(w.build(batch).expect("in-tree workloads always build"))
+        })
     }
 
     /// Simulates one workload on a config (pre-fusion detail), without budget
@@ -892,8 +878,9 @@ pub(crate) const FUSE_MAGIC: [u8; 8] = *b"FASTEVC1";
 /// Fuse-tier format version; bump on any layout change so old files degrade
 /// to a cold cache instead of being misread. Version 1 was the pre-split
 /// monolithic `(workload, datapath, schedule, fusion) → WorkloadEval`
-/// cache; those files are rejected with a version warning.
-pub(crate) const FUSE_VERSION: u32 = 2;
+/// cache; version 2 keys still carried the fusion solve's wall-clock limit.
+/// Both are rejected with a version warning.
+pub(crate) const FUSE_VERSION: u32 = 3;
 /// Magic prefix of op-tier snapshot files (`…op.bin`).
 pub(crate) const OP_MAGIC: [u8; 8] = *b"FASTOPC1";
 /// Op-tier format version.
@@ -1139,7 +1126,7 @@ mod tests {
         let e2 = e.clone();
         let _ = e.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
         let _ = e2.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
-        assert_eq!(e.graphs.lock().unwrap().len(), 1);
+        assert_eq!(e.graphs.len(), 1);
     }
 
     #[test]
@@ -1441,17 +1428,38 @@ mod tests {
 
     #[test]
     fn old_format_eval_cache_degrades_to_a_warned_cold_cache() {
-        // A version-1 file is what the pre-split monolithic cache wrote;
-        // its payload layout is unreadable now, so the version gate must
-        // reject it before any decoding is attempted.
-        let path = scratch("old-format.bin");
-        let old = bin::write_envelope(FUSE_MAGIC, 1, b"pre-split cache payload");
-        std::fs::write(&path, &old).unwrap();
-        let e = evaluator(Objective::Qps);
-        let report = e.load_eval_cache(&path);
-        assert_eq!(report.fuse_loaded, 0);
-        assert!(report.warning.unwrap().contains("version"), "must name the version skew");
-        assert_eq!(e.fuse_cache_len(), 0, "cold means cold");
+        // A version-1 file is what the pre-split monolithic cache wrote. A
+        // version-2 file holds real fuse entries whose keys still carry the
+        // fusion solve's 8-byte wall-clock limit (in nanoseconds) between
+        // `max_nodes` and `residency_window`. Neither layout is readable
+        // now, so the version gate must reject both before any decoding.
+        let warm = evaluator(Objective::Qps);
+        let _ = warm.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
+        let mut v2 = Writer::new();
+        let entries = warm.fuses.export();
+        assert!(!entries.is_empty());
+        v2.put_u64(entries.len() as u64);
+        for (key, value) in &entries {
+            key.stats.encode(&mut v2);
+            key.gm_bytes.encode(&mut v2);
+            let f = &key.fusion;
+            f.exact_binary_limit.encode(&mut v2);
+            f.max_nodes.encode(&mut v2);
+            5_000_000_000u64.encode(&mut v2);
+            f.residency_window.encode(&mut v2);
+            f.disabled.encode(&mut v2);
+            value.encode(&mut v2);
+        }
+        for (version, payload) in [(1, b"pre-split cache payload".to_vec()), (2, v2.into_bytes())] {
+            let path = scratch(&format!("old-format-v{version}.bin"));
+            std::fs::write(&path, bin::write_envelope(FUSE_MAGIC, version, &payload)).unwrap();
+            let e = evaluator(Objective::Qps);
+            let report = e.load_eval_cache(&path);
+            assert_eq!(report.fuse_loaded, 0, "v{version}");
+            let warning = report.warning.unwrap();
+            assert!(warning.contains("version"), "v{version} must name the version skew");
+            assert_eq!(e.fuse_cache_len(), 0, "v{version}: cold means cold");
+        }
     }
 
     /// Writes both tier files for corruption tests, returning `(op, fuse)`

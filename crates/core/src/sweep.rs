@@ -22,8 +22,8 @@ use crate::search_space::FastSpace;
 use fast_arch::{Budget, DatapathConfig};
 use fast_models::WorkloadDomain;
 use fast_search::{
-    Execution, Fidelity, FidelityReport, FrontierPoint, MetricDirection, MultiObjective, Study,
-    StudyEval, StudyObjective,
+    Execution, Fidelity, FidelityReport, FrontierPoint, MetricDirection, MultiObjective, Screener,
+    Study, StudyEval, StudyObjective, StudyProgress, StudySession,
 };
 use fast_sim::SimOptions;
 use fast_surrogate::{GuideMetric, SurrogateScreener};
@@ -940,37 +940,33 @@ impl SweepRunner {
                     ))
                 }
             };
-            let scenario_name = scenario.name.clone();
             let study = Study::new(space.space(), self.config.trials)
                 .seed(self.config.seed)
                 .objective(StudyObjective::pareto(&DIRECTIONS))
                 .fidelity(self.config.fidelity)
                 .execution(Execution::Batched { batch_size: self.config.batch.max(1) });
             let eval = StudyEval::batch(&mut evaluate_round);
-            let report = match observer.as_deref_mut() {
-                Some(obs) => {
-                    let mut on_round = |p: &fast_search::StudyProgress| {
-                        obs(&SweepEvent::Round {
-                            index,
-                            name: scenario_name.clone(),
-                            trials_done: p.trials_done,
-                            total_trials: p.total_trials,
-                            best_objective: p.best_objective,
-                            frontier_size: p.frontier_size.unwrap_or(0),
-                            full_evals: p.full_evals,
-                        });
-                    };
-                    match &screener {
-                        Some(sc) => study.run_screened_observed(&mut opt, eval, sc, &mut on_round),
-                        None => study.run_observed(&mut opt, eval, &mut on_round),
-                    }
+            let name = &scenario.name;
+            let mut on_round = observer.as_deref_mut().map(|obs| {
+                move |p: &StudyProgress| {
+                    obs(&SweepEvent::Round {
+                        index,
+                        name: name.clone(),
+                        trials_done: p.trials_done,
+                        total_trials: p.total_trials,
+                        best_objective: p.best_objective,
+                        frontier_size: p.frontier_size.unwrap_or(0),
+                        full_evals: p.full_evals,
+                    });
                 }
-                None => match &screener {
-                    Some(sc) => study.run_screened(&mut opt, eval, sc),
-                    None => study.run(&mut opt, eval),
-                },
+            });
+            let session = StudySession {
+                screener: screener.as_ref().map(|sc| sc as &dyn Screener),
+                observer: on_round.as_mut().map(|f| f as &mut dyn FnMut(&StudyProgress)),
             };
-            let report = report.expect("the sweep's study axes are always valid");
+            let report = study
+                .run_session(&mut opt, eval, session)
+                .expect("the sweep's study axes are always valid");
             let fidelity = report.fidelity.clone();
             let study = report.into_pareto_result();
             let after = evaluator.cache_stats();

@@ -7,10 +7,12 @@
 //! version skew, mid-shard kills, coverage gaps, fingerprint mismatches and
 //! poisoned (conflicting) values each produce their documented hard error.
 
+use fast_arch::Budget;
 use fast_core::{
-    merge_eval_caches, merge_sweep_checkpoints, BudgetLevel, Checkpointer, MergeError, Objective,
-    ScenarioMatrix, SweepConfig, SweepResult, SweepRunner, SweepSession,
+    merge_eval_caches, merge_sweep_checkpoints, BudgetLevel, Checkpointer, Evaluator, MergeError,
+    Objective, ScenarioMatrix, SweepConfig, SweepResult, SweepRunner, SweepSession,
 };
+use fast_fusion::FusionOptions;
 use fast_models::{EfficientNet, Workload, WorkloadDomain};
 use proptest::prelude::*;
 use serde::bin::{fnv1a, ENVELOPE_HEADER_LEN};
@@ -294,6 +296,49 @@ fn resume_shard_degrades_safely() {
         ..durable(&wrong_ck)
     });
     assert_eq!(crossed.scenarios[0].frontier_points, shard_results[1].scenarios[0].frontier_points);
+}
+
+/// Exact fusion keeps the merge contract: with the branch and bound on
+/// every fuse (its node budget the only stop), each shard's fuse-tier
+/// entries equal the single-process ones, so the strict merge accepts them
+/// and the merged ledger and op/fuse tiers are byte-identical. The warm
+/// tier (`*.warm.bin`) is a performance hint merges ignore by design. A
+/// small node budget keeps the test fast.
+#[test]
+fn sharded_exact_fusion_merge_is_bit_identical_to_single_process() {
+    let (matrix, config) = (tiny_matrix(), tiny_config());
+    let exact = Evaluator::new(Vec::new(), Objective::Qps, Budget::paper_default()).with_fusion(
+        FusionOptions { exact_binary_limit: 10_000, max_nodes: 20, ..FusionOptions::default() },
+    );
+    let exact_solves = |e: &Evaluator| {
+        let solver = e.staged_cache_stats().solver;
+        solver.warm_hits + solver.warm_misses
+    };
+
+    let single_dir = scratch("exact-single");
+    let ck = Checkpointer::new(&single_dir).unwrap();
+    let single = exact.fresh_eval_cache();
+    let full = SweepRunner::new(matrix.clone(), config.clone())
+        .run_session(SweepSession { evaluator: Some(&single), ..durable(&ck) });
+    assert!(exact_solves(&single) > 0, "the sweep must take the exact fusion path");
+
+    let mut dirs = Vec::new();
+    for i in 0..2 {
+        let dir = scratch(&format!("exact-w{i}of2"));
+        let ck = Checkpointer::new(&dir).unwrap();
+        let worker = exact.fresh_eval_cache();
+        let part = SweepRunner::new(matrix.clone(), config.clone()).run_session(SweepSession {
+            evaluator: Some(&worker),
+            shard: Some((i, 2)),
+            ..durable(&ck)
+        });
+        assert!(exact_solves(&worker) > 0, "shard {i} must take the exact fusion path");
+        assert_eq!(part.scenarios[0].frontier_points, full.scenarios[i].frontier_points);
+        dirs.push(dir);
+    }
+    let merged = scratch("exact-merged");
+    merge_sweep_checkpoints(&dirs, &merged).unwrap();
+    assert_dirs_byte_equal(&single_dir, &merged, "2-way exact-fusion merge");
 }
 
 // ---------------------------------------------------------------------------

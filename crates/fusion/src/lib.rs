@@ -19,9 +19,10 @@
 //!   before* (activations have short lifetimes — multi-fanout regions benefit
 //!   at most once).
 //!
-//! Solving follows the paper's SCIP-with-timeout contract: a greedy
-//! benefit-per-byte warm start, then LP-based branch and bound when the
-//! problem is small enough, falling back to the incumbent otherwise.
+//! Solving follows the paper's SCIP contract (§6.1) with a node budget in
+//! place of its timeout: a greedy benefit-per-byte warm start, then LP-based
+//! branch and bound when the problem is small enough, returning the best
+//! incumbent when the budget runs out.
 //!
 //! ```
 //! use fast_fusion::{fuse_workload, FusionOptions};
@@ -39,10 +40,9 @@
 //! ```
 
 use fast_arch::DatapathConfig;
-use fast_ilp::{solve_milp, MilpStatus, Problem, Sense, SolveOptions, VarId};
+use fast_ilp::{cutoff, solve_milp, MilpStatus, Problem, Sense, SolveOptions, VarId};
 use fast_sim::{RegionPerf, WorkloadPerf};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// A collision-resistant fingerprint of the fusion inputs: everything
 /// [`fuse_regions`] reads from the region statistics, canonically encoded
@@ -191,11 +191,10 @@ pub enum FusionSolver {
 pub struct FusionOptions {
     /// Maximum binary variable count for the exact branch-and-bound path.
     pub exact_binary_limit: usize,
-    /// Branch-and-bound node limit.
+    /// Branch-and-bound node budget, the solve's only stop (the paper bounds
+    /// SCIP by 20 minutes of wall clock; a node count keeps every result
+    /// independent of machine speed).
     pub max_nodes: usize,
-    /// Branch-and-bound time limit (the paper uses 20 minutes of SCIP; we
-    /// default far smaller since the search loop calls this per trial).
-    pub time_limit: Duration,
     /// Maximum execution-order distance between a producer and the consumer
     /// reading its activation from Global Memory; capacity is charged on
     /// every intervening layer row. `1` is the paper's strict Figure-8
@@ -213,7 +212,6 @@ impl Default for FusionOptions {
         FusionOptions {
             exact_binary_limit: 160,
             max_nodes: 600,
-            time_limit: Duration::from_secs(5),
             residency_window: 8,
             disabled: false,
         }
@@ -243,14 +241,12 @@ impl FusionOptions {
 
 // Binary-codec impls (part of the evaluation-cache snapshot key). The
 // vendored serde derives generate no code, so the layout is spelled out
-// here; the time limit is persisted as whole nanoseconds.
+// here.
 impl serde::bin::Encode for FusionOptions {
     fn encode(&self, w: &mut serde::bin::Writer) {
-        let FusionOptions { exact_binary_limit, max_nodes, time_limit, residency_window, disabled } =
-            self;
+        let FusionOptions { exact_binary_limit, max_nodes, residency_window, disabled } = self;
         exact_binary_limit.encode(w);
         max_nodes.encode(w);
-        u64::try_from(time_limit.as_nanos()).unwrap_or(u64::MAX).encode(w);
         residency_window.encode(w);
         disabled.encode(w);
     }
@@ -261,7 +257,6 @@ impl serde::bin::Decode for FusionOptions {
         Ok(FusionOptions {
             exact_binary_limit: usize::decode(r)?,
             max_nodes: usize::decode(r)?,
-            time_limit: Duration::from_nanos(u64::decode(r)?),
             residency_window: usize::decode(r)?,
             disabled: bool::decode(r)?,
         })
@@ -876,6 +871,39 @@ struct IlpVars {
     t: Vec<VarId>,
 }
 
+impl IlpVars {
+    /// The ILP point of a placement vector: its 0/1 decisions plus each
+    /// region's resulting time.
+    fn point(&self, prob: &Problem, regions: &[RegionPerf], placements: &[Placement]) -> Vec<f64> {
+        let mut x = vec![0.0; prob.num_vars()];
+        for (i, (p, r)) in placements.iter().zip(regions).enumerate() {
+            for (var, on) in [
+                (self.p_in[i], p.input_gm),
+                (self.p_out[i], p.output_gm),
+                (self.p_w[i], p.weight_gm),
+            ] {
+                if let Some(v) = var {
+                    x[v.index()] = f64::from(u8::from(on));
+                }
+            }
+            x[self.t[i].index()] = r.time_with_placements(p.input_gm, p.output_gm, p.weight_gm);
+        }
+        x
+    }
+
+    /// The placement vector an ILP point decides (a binary is on above 0.5).
+    fn placements(&self, values: &[f64]) -> Vec<Placement> {
+        let on = |var: Option<VarId>| var.is_some_and(|v| values[v.index()] > 0.5);
+        (0..self.t.len())
+            .map(|i| Placement {
+                input_gm: on(self.p_in[i]),
+                output_gm: on(self.p_out[i]),
+                weight_gm: on(self.p_w[i]),
+            })
+            .collect()
+    }
+}
+
 fn build_ilp(
     regions: &[RegionPerf],
     label: &str,
@@ -1001,12 +1029,10 @@ pub fn fuse_workload(
 /// Runs FAST fusion on raw region statistics — Stage C of the staged
 /// evaluation pipeline.
 ///
-/// This is a pure function of `(regions, compute_seconds, gm_bytes, opts)`
-/// (given a deterministic solver configuration; see
-/// [`FusionOptions::time_limit`]), which is what makes its results
-/// cacheable under a [`stats_fingerprint`]-based key: sweeping fusion
-/// options, objectives or budgets re-solves the ILP at most, and never
-/// re-runs the mapper. `label` names the ILP problem for logs and has no
+/// This is a pure function of `(regions, compute_seconds, gm_bytes, opts)`,
+/// which is what makes its results cacheable under a
+/// [`stats_fingerprint`]-based key: sweeping fusion options, objectives or
+/// budgets re-solves the ILP at most, and never re-runs the mapper. `label` names the ILP problem for logs and has no
 /// effect on the solution.
 #[must_use]
 pub fn fuse_regions(
@@ -1041,33 +1067,16 @@ pub fn fuse_regions_warm(
     label: &str,
     tier: Option<&WarmStartTier>,
 ) -> FusionResult {
-    let n = regions.len();
-    if opts.disabled || gm_bytes == 0 || n == 0 {
-        let placements = vec![Placement::default(); n];
-        let ev = evaluate(regions, compute_seconds, gm_bytes, &placements);
-        return FusionResult {
-            placements,
-            region_seconds: ev.times,
-            total_seconds: ev.overlapped_total,
-            sum_region_seconds: ev.sum_times,
-            pinned_weight_bytes: ev.pinned,
-            peak_gm_bytes: ev.peak,
-            dram_bytes: ev.dram,
-            solver: FusionSolver::Disabled,
-        };
-    }
-
-    let elig = eligibility(regions, opts.residency_window.max(1));
-    let warm = greedy(regions, gm_bytes, &elig);
-    let n_binaries: usize = elig
-        .iter()
-        .map(|e| usize::from(e.input) + usize::from(e.output) + usize::from(e.weight))
-        .sum();
-
-    let (placements, solver) = if n_binaries > 0 && n_binaries <= opts.exact_binary_limit {
-        solve_exact(regions, label, gm_bytes, opts, &elig, &warm, tier)
-    } else {
-        (warm, FusionSolver::Heuristic)
+    let (placements, solver) = match fusion_path(regions, gm_bytes, opts) {
+        None => (vec![Placement::default(); regions.len()], FusionSolver::Disabled),
+        Some((elig, exact)) => {
+            let warm = greedy(regions, gm_bytes, &elig);
+            if exact {
+                solve_exact(regions, label, gm_bytes, opts, &elig, &warm, tier)
+            } else {
+                (warm, FusionSolver::Heuristic)
+            }
+        }
     };
 
     let ev = evaluate(regions, compute_seconds, gm_bytes, &placements);
@@ -1081,6 +1090,29 @@ pub fn fuse_regions_warm(
         dram_bytes: ev.dram,
         solver,
     }
+}
+
+/// Which path the fusion pass takes: `None` when it is disabled (no pass,
+/// no Global Memory or no regions), otherwise the pruned eligibility and
+/// whether the exact branch and bound runs — some binaries exist and no more
+/// than `opts.exact_binary_limit`. [`fuse_regions_warm`] and
+/// [`figure8_problem`] both decide here, so the bench's window onto the ILP
+/// is the production gate.
+fn fusion_path(
+    regions: &[RegionPerf],
+    gm_bytes: u64,
+    opts: &FusionOptions,
+) -> Option<(Vec<Eligibility>, bool)> {
+    if opts.disabled || gm_bytes == 0 || regions.is_empty() {
+        return None;
+    }
+    let elig = eligibility(regions, opts.residency_window.max(1));
+    let n_binaries: usize = elig
+        .iter()
+        .map(|e| usize::from(e.input) + usize::from(e.output) + usize::from(e.weight))
+        .sum();
+    let exact = n_binaries > 0 && n_binaries <= opts.exact_binary_limit;
+    Some((elig, exact))
 }
 
 /// Exact branch of the fusion solve: builds the Figure-8 ILP, seeds it with
@@ -1099,59 +1131,15 @@ fn solve_exact(
     let n = regions.len();
     let (prob, vars) = build_ilp(regions, label, gm_bytes, elig);
 
-    let ws_of = |placements: &[Placement]| -> Vec<f64> {
-        let mut ws = vec![0.0; prob.num_vars()];
-        for (i, p) in placements.iter().enumerate() {
-            if let Some(v) = vars.p_in[i] {
-                ws[v.index()] = f64::from(u8::from(p.input_gm));
-            }
-            if let Some(v) = vars.p_out[i] {
-                ws[v.index()] = f64::from(u8::from(p.output_gm));
-            }
-            if let Some(v) = vars.p_w[i] {
-                ws[v.index()] = f64::from(u8::from(p.weight_gm));
-            }
-        }
-        for (i, r) in regions.iter().enumerate() {
-            ws[vars.t[i].index()] = r.time_with_placements(
-                placements[i].input_gm,
-                placements[i].output_gm,
-                placements[i].weight_gm,
-            );
-        }
-        ws
-    };
-    let solve_opts = |seed: Vec<f64>| SolveOptions {
-        max_nodes: opts.max_nodes,
-        // Fusion opts in to the wall-clock escape hatch: this mirrors the
-        // paper's SCIP-with-timeout contract (§6.1). The deterministic node
-        // budget above is the primary limit.
-        time_limit: Some(opts.time_limit),
-        gap_tol: 1e-6,
-        warm_start: Some(seed),
-    };
-    let decode = |values: &[f64]| -> Vec<Placement> {
-        let mut placements = vec![Placement::default(); n];
-        for (i, p) in placements.iter_mut().enumerate() {
-            if let Some(v) = vars.p_in[i] {
-                p.input_gm = values[v.index()] > 0.5;
-            }
-            if let Some(v) = vars.p_out[i] {
-                p.output_gm = values[v.index()] > 0.5;
-            }
-            if let Some(v) = vars.p_w[i] {
-                p.weight_gm = values[v.index()] > 0.5;
-            }
-        }
-        placements
-    };
+    let ws_of = |placements: &[Placement]| vars.point(&prob, regions, placements);
+    let solve_opts =
+        |seed: Vec<f64>| SolveOptions { max_nodes: opts.max_nodes, warm_start: Some(seed) };
 
     let greedy_ws = ws_of(greedy_warm);
-    let greedy_obj = prob.objective_value(&greedy_ws);
     // The solver prunes every node whose bound clears this line; a cold
     // solve seeded with the greedy incumbent therefore returns the greedy
     // vector itself whenever the true optimum is at or above it.
-    let greedy_cutoff = greedy_obj - 1e-6 * greedy_obj.abs().max(1.0);
+    let greedy_cutoff = cutoff(prob.objective_value(&greedy_ws));
 
     // Cross-point incumbent: usable only when it is feasible for *this*
     // point's ILP and strictly better than the greedy seed (otherwise it
@@ -1188,7 +1176,7 @@ fn solve_exact(
         }
         match sol.status {
             MilpStatus::Optimal | MilpStatus::Incumbent => {
-                let placements = decode(&sol.values);
+                let placements = vars.placements(&sol.values);
                 let status = if sol.status == MilpStatus::Optimal {
                     FusionSolver::ExactOptimal
                 } else {
@@ -1227,35 +1215,12 @@ pub fn figure8_problem(
     opts: &FusionOptions,
     label: &str,
 ) -> Option<(Problem, Vec<f64>)> {
-    if opts.disabled || gm_bytes == 0 || regions.is_empty() {
+    let Some((elig, true)) = fusion_path(regions, gm_bytes, opts) else {
         return None;
-    }
-    let elig = eligibility(regions, opts.residency_window.max(1));
-    let n_binaries: usize = elig
-        .iter()
-        .map(|e| usize::from(e.input) + usize::from(e.output) + usize::from(e.weight))
-        .sum();
-    if n_binaries == 0 || n_binaries > opts.exact_binary_limit {
-        return None;
-    }
+    };
     let warm = greedy(regions, gm_bytes, &elig);
     let (prob, vars) = build_ilp(regions, label, gm_bytes, &elig);
-    let mut ws = vec![0.0; prob.num_vars()];
-    for (i, p) in warm.iter().enumerate() {
-        if let Some(v) = vars.p_in[i] {
-            ws[v.index()] = f64::from(u8::from(p.input_gm));
-        }
-        if let Some(v) = vars.p_out[i] {
-            ws[v.index()] = f64::from(u8::from(p.output_gm));
-        }
-        if let Some(v) = vars.p_w[i] {
-            ws[v.index()] = f64::from(u8::from(p.weight_gm));
-        }
-    }
-    for (i, r) in regions.iter().enumerate() {
-        ws[vars.t[i].index()] =
-            r.time_with_placements(warm[i].input_gm, warm[i].output_gm, warm[i].weight_gm);
-    }
+    let ws = vars.point(&prob, regions, &warm);
     Some((prob, ws))
 }
 
@@ -1366,7 +1331,6 @@ mod tests {
             &FusionOptions {
                 exact_binary_limit: 10_000,
                 max_nodes: 4000,
-                time_limit: Duration::from_secs(30),
                 ..FusionOptions::default()
             },
         );
@@ -1553,12 +1517,7 @@ mod tests {
     /// Exact fusion options sized so the B0/batch-1 problem actually enters
     /// the branch-and-bound (the default path is heuristic-only).
     fn exact_opts() -> FusionOptions {
-        FusionOptions {
-            exact_binary_limit: 10_000,
-            max_nodes: 4000,
-            time_limit: Duration::from_secs(30),
-            ..FusionOptions::default()
-        }
+        FusionOptions { exact_binary_limit: 10_000, max_nodes: 4000, ..FusionOptions::default() }
     }
 
     #[test]

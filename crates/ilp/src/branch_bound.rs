@@ -20,10 +20,10 @@
 //!   ([`crate::simplex::solve_lp_warm`]), so each child typically needs a
 //!   handful of pivots instead of a full two-phase solve.
 //!
-//! Termination is governed by the deterministic `max_nodes` budget; the
-//! wall-clock limit is an opt-in escape hatch (`time_limit: Some(..)`) and
-//! deliberately off by default, because a clock-based stop can flip
-//! `proven`/incumbents between runs on a loaded machine.
+//! The deterministic `max_nodes` budget is the only stop, so every answer
+//! is a pure function of `(problem, options)` on any machine. Nodes are
+//! pruned by one rule, [`cutoff`], which callers reuse to reason about what
+//! the search returns.
 //!
 //! The pre-optimization solver is kept as [`solve_milp_reference`] — a
 //! comparison oracle for the `ilp_solve` bench, which asserts the new
@@ -35,23 +35,19 @@ use crate::simplex::{solve_lp, solve_lp_warm, Bounds, LpStatus};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
 
 /// Integrality tolerance for branching decisions.
 const INT_TOL: f64 = 1e-6;
 
-/// Solver limits and warm start.
+/// Relative optimality gap of the pruning rule (see [`cutoff`]).
+pub const GAP_TOL: f64 = 1e-6;
+
+/// Solver budget and warm start.
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
-    /// Deterministic node budget — the primary stop. Exploration halts after
+    /// Deterministic node budget — the only stop. Exploration halts after
     /// this many LP-solved nodes and the best incumbent is returned.
     pub max_nodes: usize,
-    /// Opt-in wall-clock escape hatch. `None` (the default) keeps the solve
-    /// fully deterministic; `Some(limit)` additionally stops the search when
-    /// the clock runs out, which may flip `proven` between runs.
-    pub time_limit: Option<Duration>,
-    /// Relative optimality gap used for pruning.
-    pub gap_tol: f64,
     /// Optional warm-start assignment; adopted as the initial incumbent when
     /// feasible (checked against the problem), silently ignored otherwise.
     pub warm_start: Option<Vec<f64>>,
@@ -59,7 +55,7 @@ pub struct SolveOptions {
 
 impl Default for SolveOptions {
     fn default() -> Self {
-        SolveOptions { max_nodes: 10_000, time_limit: None, gap_tol: 1e-6, warm_start: None }
+        SolveOptions { max_nodes: 10_000, warm_start: None }
     }
 }
 
@@ -91,9 +87,14 @@ pub struct MilpSolution {
     pub lp_pivots: u64,
 }
 
-/// Pruning cutoff for a given incumbent objective.
-fn cutoff(best_obj: f64, gap_tol: f64) -> f64 {
-    best_obj - gap_tol * best_obj.abs().max(1.0)
+/// Pruning cutoff for a given incumbent objective: a node whose LP bound is
+/// at or above this line cannot improve on the incumbent by more than
+/// [`GAP_TOL`] (relative), so the search discards it. A solve seeded with an
+/// incumbent therefore returns that incumbent whenever the true optimum is
+/// at or above its cutoff.
+#[must_use]
+pub fn cutoff(best_obj: f64) -> f64 {
+    best_obj - GAP_TOL * best_obj.abs().max(1.0)
 }
 
 /// An open node: bounds plus the parent's LP bound and optimal basis.
@@ -157,11 +158,9 @@ impl Pseudocost {
 
 /// Solves a 0/1 MILP by presolved, warm-started, best-bound branch and
 /// bound. See the module docs for the search design; answers are a
-/// deterministic function of `(problem, options)` unless `time_limit` is
-/// set.
+/// deterministic function of `(problem, options)`.
 #[must_use]
 pub fn solve_milp(problem: &Problem, options: &SolveOptions) -> MilpSolution {
-    let start = options.time_limit.map(|limit| (Instant::now(), limit));
     let num_vars = problem.num_vars();
     let binaries = problem.binary_vars();
 
@@ -219,19 +218,13 @@ pub fn solve_milp(problem: &Problem, options: &SolveOptions) -> MilpSolution {
     while let Some(node) = heap.pop() {
         // With best-bound order, the popped node has the least bound of all
         // open nodes: once it clears the cutoff the whole tree is pruned.
-        if node.bound >= cutoff(best_obj, options.gap_tol) {
+        if node.bound >= cutoff(best_obj) {
             closed = true;
             break;
         }
         if nodes_explored >= options.max_nodes {
             proven = false;
             break;
-        }
-        if let Some((t0, limit)) = start {
-            if t0.elapsed() > limit {
-                proven = false;
-                break;
-            }
         }
         nodes_explored += 1;
 
@@ -262,7 +255,7 @@ pub fn solve_milp(problem: &Problem, options: &SolveOptions) -> MilpSolution {
                         }
                     }
                 }
-                if lp.objective >= cutoff(best_obj, options.gap_tol) {
+                if lp.objective >= cutoff(best_obj) {
                     continue;
                 }
             }
@@ -376,7 +369,6 @@ pub fn solve_milp(problem: &Problem, options: &SolveOptions) -> MilpSolution {
 /// fewer nodes. Not used on any production path.
 #[must_use]
 pub fn solve_milp_reference(problem: &Problem, options: &SolveOptions) -> MilpSolution {
-    let start = options.time_limit.map(|limit| (Instant::now(), limit));
     let num_vars = problem.num_vars();
     let binaries = problem.binary_vars();
 
@@ -395,9 +387,7 @@ pub fn solve_milp_reference(problem: &Problem, options: &SolveOptions) -> MilpSo
     let mut proven = true;
 
     while let Some(bounds) = stack.pop() {
-        if nodes_explored >= options.max_nodes
-            || start.is_some_and(|(t0, limit)| t0.elapsed() > limit)
-        {
+        if nodes_explored >= options.max_nodes {
             proven = false;
             break;
         }
@@ -416,9 +406,7 @@ pub fn solve_milp_reference(problem: &Problem, options: &SolveOptions) -> MilpSo
             }
             LpStatus::Optimal => {}
         }
-        if lp.status == LpStatus::Optimal
-            && lp.objective >= best_obj - options.gap_tol * best_obj.abs().max(1.0)
-        {
+        if lp.status == LpStatus::Optimal && lp.objective >= cutoff(best_obj) {
             continue;
         }
 
@@ -550,10 +538,7 @@ mod tests {
         let p = knapsack();
         // Feasible but suboptimal: a only.
         let ws = vec![1.0, 0.0, 0.0];
-        let s = solve_milp(
-            &p,
-            &SolveOptions { max_nodes: 0, warm_start: Some(ws), ..Default::default() },
-        );
+        let s = solve_milp(&p, &SolveOptions { max_nodes: 0, warm_start: Some(ws) });
         assert_eq!(s.status, MilpStatus::Incumbent);
         assert!((s.objective - (-3.0)).abs() < 1e-6);
     }
@@ -581,9 +566,8 @@ mod tests {
 
     #[test]
     fn budget_limited_solve_is_bit_identical_across_runs() {
-        // Satellite regression: with the wall clock demoted to an opt-in
-        // escape hatch, a budget-limited solve must be a pure function of
-        // (problem, options) — identical bits on every run.
+        // With the node budget as the only stop, a budget-limited solve is a
+        // pure function of (problem, options) — identical bits on every run.
         let mut p = Problem::new("repeat");
         let vars: Vec<_> =
             (0..14).map(|i| p.add_binary(format!("x{i}"), -((i % 5) as f64) - 0.5)).collect();
@@ -668,15 +652,5 @@ mod tests {
                 slow.objective
             );
         }
-    }
-
-    #[test]
-    fn time_limit_escape_hatch_still_works() {
-        let p = knapsack();
-        let s = solve_milp(
-            &p,
-            &SolveOptions { time_limit: Some(Duration::from_secs(30)), ..Default::default() },
-        );
-        assert_eq!(s.status, MilpStatus::Optimal);
     }
 }

@@ -12,7 +12,9 @@
 //!   shrinks the search without changing any answer,
 //! * an LP-based [`branch_bound`] driver — best-bound node selection with
 //!   pseudocost branching — with a deterministic node budget that returns
-//!   the best incumbent on limit, the same contract FAST relies on.
+//!   the best incumbent on limit, the same contract FAST relies on (where
+//!   the paper bounds SCIP by wall clock, the budget keeps every answer
+//!   reproducible on any machine), and one public pruning rule, [`cutoff`].
 //!   The pre-optimization depth-first solver survives as
 //!   [`solve_milp_reference`], the oracle used by the `ilp_solve` bench.
 //!
@@ -35,7 +37,9 @@ pub(crate) mod presolve;
 pub mod problem;
 pub mod simplex;
 
-pub use branch_bound::{solve_milp, solve_milp_reference, MilpSolution, MilpStatus, SolveOptions};
+pub use branch_bound::{
+    cutoff, solve_milp, solve_milp_reference, MilpSolution, MilpStatus, SolveOptions, GAP_TOL,
+};
 pub use problem::{Constraint, Problem, Sense, VarId, VarKind, Variable};
 pub use simplex::{solve_lp, solve_lp_warm, Bounds, LpSolution, LpStatus};
 

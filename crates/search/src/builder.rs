@@ -164,9 +164,8 @@ pub enum StudyConfigError {
     SerialEvalUnderParallelExecution,
     /// [`Fidelity::Screened`] with a `keep_fraction` outside `(0, 1]`.
     KeepFractionOutOfRange,
-    /// [`Fidelity::Screened`] passed to [`Study::run`] /
-    /// [`Study::run_observed`], which have no screener to rank rounds with
-    /// — use [`Study::run_screened`].
+    /// [`Fidelity::Screened`] run without a screener to rank rounds with —
+    /// set [`StudySession::screener`] and use [`Study::run_session`].
     ScreenedWithoutScreener,
     /// [`Fidelity::Screened`] under [`Execution::Sequential`]: rounds of
     /// one always keep their single candidate, so screening cannot apply.
@@ -199,7 +198,7 @@ impl fmt::Display for StudyConfigError {
                 write!(f, "Screened fidelity needs keep_fraction in (0, 1]")
             }
             StudyConfigError::ScreenedWithoutScreener => {
-                write!(f, "Screened fidelity needs a screener; use Study::run_screened")
+                write!(f, "Screened fidelity needs a screener; set StudySession::screener")
             }
             StudyConfigError::ScreenedSequentialExecution => write!(
                 f,
@@ -316,7 +315,7 @@ pub struct StudyReport {
     /// [`Durability::Checkpointed`].
     pub checkpoint: Option<CheckpointInfo>,
     /// Screening activity — `Some` iff the study ran with
-    /// [`Fidelity::Screened`] (via [`Study::run_screened`]).
+    /// [`Fidelity::Screened`] (via [`Study::run_session`] with a screener).
     pub fidelity: Option<FidelityReport>,
 }
 
@@ -478,6 +477,22 @@ const STUDY_VERSION: u32 = 3;
 /// exact generator a straight-through run would have used.
 const SCREEN_SEED_SALT: u64 = 0x5c3e_e21d_0b5c_a17e;
 
+/// Optional hooks of [`Study::run_session`]; [`Study::run`] is the shorthand
+/// for the default, hook-free session.
+#[derive(Default)]
+pub struct StudySession<'a> {
+    /// Ranks each proposal round — required by [`Fidelity::Screened`].
+    /// Under [`Fidelity::Exact`] it is ignored (never called) and the run is
+    /// bit-identical to one without it.
+    pub screener: Option<&'a dyn Screener>,
+    /// Called with a [`StudyProgress`] after every evaluated round (per
+    /// trial under [`Execution::Sequential`]) — the live-progress feed a
+    /// serving process streams to its clients. Works under every durability
+    /// axis: a resumed checkpointed study reports progress from its restored
+    /// trial count onward. Observation never changes what is computed.
+    pub observer: Option<&'a mut dyn FnMut(&StudyProgress)>,
+}
+
 /// The unified study driver. See the [module docs](self) for the axis
 /// semantics and a runnable example.
 #[derive(Debug, Clone)]
@@ -530,7 +545,7 @@ impl<'s> Study<'s> {
     }
 
     /// Sets the fidelity axis. [`Fidelity::Screened`] studies must run
-    /// through [`Study::run_screened`] (they need a [`Screener`]).
+    /// through [`Study::run_session`] with a [`StudySession::screener`].
     #[must_use]
     pub fn fidelity(mut self, fidelity: Fidelity) -> Self {
         self.fidelity = fidelity;
@@ -612,63 +627,26 @@ impl<'s> Study<'s> {
         optimizer: &mut dyn Optimizer,
         eval: StudyEval<'_>,
     ) -> Result<StudyReport, StudyConfigError> {
-        self.run_with(optimizer, eval, None, None)
+        self.run_session(optimizer, eval, StudySession::default())
     }
 
-    /// [`Study::run`] with a [`Screener`] ranking each proposal round —
-    /// required by [`Fidelity::Screened`]. Under [`Fidelity::Exact`] the
-    /// screener is ignored and the run is bit-identical to [`Study::run`].
+    /// The general entry point: [`Study::run`] with the session's optional
+    /// screener and progress observer (see [`StudySession`]).
     ///
     /// # Errors
-    /// As [`Study::run`].
-    pub fn run_screened(
-        &self,
-        optimizer: &mut dyn Optimizer,
-        eval: StudyEval<'_>,
-        screener: &dyn Screener,
-    ) -> Result<StudyReport, StudyConfigError> {
-        self.run_with(optimizer, eval, Some(screener), None)
-    }
-
-    /// [`Study::run_screened`] + the [`Study::run_observed`] progress feed.
+    /// As [`Study::run`], plus
+    /// [`StudyConfigError::ScreenedWithoutScreener`] for a
+    /// [`Fidelity::Screened`] study without a screener.
     ///
-    /// # Errors
+    /// # Panics
     /// As [`Study::run`].
-    pub fn run_screened_observed(
+    pub fn run_session(
         &self,
         optimizer: &mut dyn Optimizer,
         eval: StudyEval<'_>,
-        screener: &dyn Screener,
-        observer: &mut dyn FnMut(&StudyProgress),
+        session: StudySession<'_>,
     ) -> Result<StudyReport, StudyConfigError> {
-        self.run_with(optimizer, eval, Some(screener), Some(observer))
-    }
-
-    /// [`Study::run`], additionally calling `observer` with a
-    /// [`StudyProgress`] after every evaluated round (per trial under
-    /// [`Execution::Sequential`]) — the live-progress feed a serving
-    /// process streams to its clients. Works under every durability axis: a
-    /// resumed checkpointed study reports progress from its restored trial
-    /// count onward. Observation never changes what is computed.
-    ///
-    /// # Errors
-    /// As [`Study::run`].
-    pub fn run_observed(
-        &self,
-        optimizer: &mut dyn Optimizer,
-        eval: StudyEval<'_>,
-        observer: &mut dyn FnMut(&StudyProgress),
-    ) -> Result<StudyReport, StudyConfigError> {
-        self.run_with(optimizer, eval, None, Some(observer))
-    }
-
-    fn run_with(
-        &self,
-        optimizer: &mut dyn Optimizer,
-        eval: StudyEval<'_>,
-        screener: Option<&dyn Screener>,
-        mut observer: Option<&mut dyn FnMut(&StudyProgress)>,
-    ) -> Result<StudyReport, StudyConfigError> {
+        let StudySession { screener, mut observer } = session;
         self.validate(&eval)?;
         let screen = match (self.fidelity, screener) {
             (Fidelity::Screened { .. }, Some(sc)) => Some(ScreenEngine::new(sc, self.fidelity)),
@@ -1706,6 +1684,10 @@ mod tests {
         Fidelity::Screened { keep_fraction, min_full, tier: crate::SurrogateTier::S0 }
     }
 
+    fn with_screener(sc: &dyn Screener) -> StudySession<'_> {
+        StudySession { screener: Some(sc), ..StudySession::default() }
+    }
+
     #[test]
     fn screened_config_errors_are_typed() {
         let s = space();
@@ -1719,10 +1701,10 @@ mod tests {
         assert_eq!(got.map(|_| ()), Err(StudyConfigError::ScreenedWithoutScreener));
         // Screened fidelity under sequential execution.
         let sc = ToyScreener::default();
-        let got = Study::new(&s, 8).fidelity(screened(0.5, 1)).run_screened(
+        let got = Study::new(&s, 8).fidelity(screened(0.5, 1)).run_session(
             &mut opt,
             StudyEval::points(&mut eval),
-            &sc,
+            with_screener(&sc),
         );
         assert_eq!(got.map(|_| ()), Err(StudyConfigError::ScreenedSequentialExecution));
         // keep_fraction outside (0, 1] — including NaN.
@@ -1730,7 +1712,7 @@ mod tests {
             let got = Study::new(&s, 8)
                 .execution(Execution::Batched { batch_size: 4 })
                 .fidelity(screened(bad, 1))
-                .run_screened(&mut opt, StudyEval::points(&mut eval), &sc);
+                .run_session(&mut opt, StudyEval::points(&mut eval), with_screener(&sc));
             assert_eq!(got.map(|_| ()), Err(StudyConfigError::KeepFractionOutOfRange), "{bad}");
         }
     }
@@ -1738,8 +1720,7 @@ mod tests {
     /// `Screened { keep_fraction: 1.0 }` keeps every proposal: the trial
     /// record, convergence curve, and frontier are bit-identical to the
     /// same study under `Fidelity::Exact` — only the fidelity report is
-    /// added. An exact study run through `run_screened` ignores the
-    /// screener entirely.
+    /// added. An exact study handed a screener ignores it entirely.
     #[test]
     fn keep_everything_screening_degenerates_to_exact() {
         let s = space();
@@ -1757,7 +1738,7 @@ mod tests {
         let mut opt = LcsSwarm::default();
         let kept_all = base()
             .fidelity(screened(1.0, 0))
-            .run_screened(&mut opt, StudyEval::shared(&eval), &ToyScreener::default())
+            .run_session(&mut opt, StudyEval::shared(&eval), with_screener(&ToyScreener::default()))
             .unwrap();
         assert_eq!(kept_all.trials, exact.trials);
         assert_eq!(
@@ -1771,7 +1752,8 @@ mod tests {
 
         let mut opt = LcsSwarm::default();
         let sc = ToyScreener::default();
-        let ignored = base().run_screened(&mut opt, StudyEval::shared(&eval), &sc).unwrap();
+        let ignored =
+            base().run_session(&mut opt, StudyEval::shared(&eval), with_screener(&sc)).unwrap();
         assert_eq!(ignored.trials, exact.trials);
         assert!(ignored.fidelity.is_none(), "Exact fidelity reports no screening");
         assert_eq!(sc.calls.get(), 0, "Exact fidelity never touches the screener");
@@ -1799,7 +1781,7 @@ mod tests {
             .objective(StudyObjective::pareto(&dirs))
             .execution(Execution::Batched { batch_size: 8 })
             .fidelity(screened(0.25, 2))
-            .run_screened(&mut opt, StudyEval::batch(&mut eval), &sc)
+            .run_session(&mut opt, StudyEval::batch(&mut eval), with_screener(&sc))
             .unwrap();
         let fid = report.fidelity.expect("screened studies report fidelity");
         assert_eq!(fid.full_evals, crate::S0_BURN_IN + 7 * 2);
@@ -1845,7 +1827,7 @@ mod tests {
             .execution(Execution::Batched { batch_size })
             .fidelity(screened(0.25, 2))
             .durability(durability)
-            .run_screened(&mut opt, StudyEval::shared(&eval), &ToyScreener::default())
+            .run_session(&mut opt, StudyEval::shared(&eval), with_screener(&ToyScreener::default()))
             .unwrap()
     }
 
@@ -1920,7 +1902,7 @@ mod tests {
                 .execution(Execution::Batched { batch_size: 4 })
                 .fidelity(screened(0.5, 1))
                 .durability(Durability::Checkpointed { dir: dir.clone(), every: 1 })
-                .run_screened(&mut opt, StudyEval::shared(&eval), &sc)
+                .run_session(&mut opt, StudyEval::shared(&eval), with_screener(&sc))
                 .unwrap()
         };
         let _ = run_exact(16);

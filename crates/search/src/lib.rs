@@ -54,7 +54,7 @@ pub mod study;
 pub use algorithms::{LcsSwarm, RandomSearch, Tpe};
 pub use builder::{
     CheckpointInfo, Durability, Execution, Study, StudyConfigError, StudyEval, StudyObjective,
-    StudyProgress, StudyReport,
+    StudyProgress, StudyReport, StudySession,
 };
 pub use optimizer::{Optimizer, Trial, TrialResult};
 pub use pareto::{
@@ -216,7 +216,7 @@ mod proptests {
         /// The fidelity axis is inert for exact studies: a study built
         /// without touching the axis, one with an explicit
         /// [`Fidelity::Exact`], and one handed a screener through
-        /// `run_screened` all produce bit-identical reports — across every
+        /// a `StudySession` all produce bit-identical reports — across every
         /// optimizer and execution shape — and the ignored screener is
         /// never called.
         #[test]
@@ -248,7 +248,7 @@ mod proptests {
                 let sc = OracleScreener::default();
                 let handed = base()
                     .fidelity(Fidelity::Exact)
-                    .run_screened(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), &sc)
+                    .run_session(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), StudySession { screener: Some(&sc), ..StudySession::default() })
                     .expect("valid configuration");
                 prop_assert_eq!(sc.seen.get(), 0, "Exact fidelity must never touch the screener");
                 for report in [&explicit, &handed] {
@@ -299,7 +299,7 @@ mod proptests {
                         min_full,
                         tier: SurrogateTier::S0,
                     })
-                    .run_screened(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), &sc)
+                    .run_session(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), StudySession { screener: Some(&sc), ..StudySession::default() })
                     .expect("valid configuration");
                 prop_assert_eq!(&screened.trials, &exact.trials);
                 prop_assert_eq!(&screened.frontier, &exact.frontier);

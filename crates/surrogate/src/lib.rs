@@ -15,7 +15,8 @@
 //! [`SurrogateScreener`] puts it behind the [`fast_search::Screener`]
 //! trait: construct one with the guide metric, the workload set and a
 //! point-decoding closure, then hand it to
-//! [`fast_search::Study::run_screened`].
+//! [`fast_search::Study::run_session`] as its
+//! [`fast_search::StudySession::screener`].
 //!
 //! ```
 //! use fast_surrogate::{GuideMetric, SurrogateScreener};

@@ -76,7 +76,7 @@ impl Screener for SurrogateScreener {
 mod tests {
     use super::*;
     use fast_search::{
-        Execution, Fidelity, ParamDomain, ParamSpace, RandomSearch, Study, StudyEval,
+        Execution, Fidelity, ParamDomain, ParamSpace, RandomSearch, Study, StudyEval, StudySession,
         SurrogateTier, TrialResult, S0_BURN_IN,
     };
 
@@ -121,7 +121,11 @@ mod tests {
             .seed(3)
             .execution(Execution::Batched { batch_size: 4 })
             .fidelity(screened(0.25, 1))
-            .run_screened(&mut RandomSearch::new(), StudyEval::points(&mut eval), &sc)
+            .run_session(
+                &mut RandomSearch::new(),
+                StudyEval::points(&mut eval),
+                StudySession { screener: Some(&sc), ..StudySession::default() },
+            )
             .expect("valid configuration");
         assert!(report.trials[..S0_BURN_IN].iter().all(|t| t.result.fully_evaluated()));
         assert!(report.trials[S0_BURN_IN..].iter().any(|t| !t.result.fully_evaluated()));
@@ -162,7 +166,11 @@ mod tests {
             .seed(7)
             .execution(Execution::Batched { batch_size: 8 })
             .fidelity(screened(0.25, 2))
-            .run_screened(&mut opt, StudyEval::points(&mut eval), &sc)
+            .run_session(
+                &mut opt,
+                StudyEval::points(&mut eval),
+                StudySession { screener: Some(&sc), ..StudySession::default() },
+            )
             .expect("valid configuration");
         let fid = report.fidelity.expect("screened study reports fidelity");
         assert_eq!(fid.full_evals, full);
