@@ -15,9 +15,12 @@
 //!   and neighboring search points map once; GM/clock/DRAM/L2/fusion sweeps
 //!   re-map nothing.
 //! * **Stage B (sim tier)** — per-workload perf assembly, memoized in
-//!   memory per `(workload, datapath, schedule)` as slim region statistics
-//!   plus summary scalars (no per-node detail). Schedule failures live
-//!   here too.
+//!   memory per `(workload, datapath, schedule)` as the slim
+//!   [`fast_sim::SimStats`] (region statistics plus summary scalars, no
+//!   per-node detail). Schedule failures live here too. A miss assembles
+//!   the graph's cached [`fast_sim::SimPlan`], which holds the graph-only
+//!   half of the stage and is built once per `(workload, batch)` with the
+//!   graph itself.
 //! * **Stage C (fuse tier)** — fusion results keyed by a
 //!   [`fast_fusion::StatsFingerprint`] of the region stats + the
 //!   Global-Memory capacity + the [`FusionOptions`]. Sweeping fusion
@@ -25,8 +28,8 @@
 //!
 //! The op and fuse tiers persist to disk ([`Evaluator::save_eval_cache`]);
 //! the sim tier is cheap to rebuild from a warm op tier and stays in
-//! memory. Workload graphs are cached by `(workload, batch)` since the
-//! model zoo is immutable across trials.
+//! memory. Workload graphs and their plans are cached by
+//! `(workload, batch)` since the model zoo is immutable across trials.
 
 use crate::search_space::FastSpace;
 use fast_arch::{cost, Budget, DatapathConfig};
@@ -36,8 +39,8 @@ use fast_fusion::{
 };
 use fast_models::Workload;
 use fast_sim::{
-    simulate_staged, MapFailure, MapperCache, Mapping, OpKey, RegionPerf, SimError, SimOptions,
-    Tier, WorkloadPerf,
+    MapFailure, MapperCache, Mapping, OpKey, SimError, SimOptions, SimPlan, SimStats, Tier,
+    WorkloadPerf,
 };
 use serde::bin::{self, Decode, Encode, Reader, Writer};
 use serde::{Deserialize, Serialize};
@@ -243,43 +246,20 @@ impl Decode for FuseKey {
     }
 }
 
-/// The slim Stage-B product: exactly what Stage C and the final
-/// [`WorkloadEval`] assembly read — region statistics plus summary scalars,
-/// no per-node detail (use [`Evaluator::simulate_workload`] for that).
-#[derive(Debug)]
-struct SimStats {
-    /// Workload display name (labels the ILP problem; never keys anything).
-    workload: String,
-    regions: Vec<RegionPerf>,
-    compute_seconds: f64,
-    prefusion_seconds: f64,
-    batch_per_core: u64,
-    cores: u64,
-    matrix_flops: u64,
-    peak_flops_per_core: f64,
-    total_flops: u64,
-    prefusion_dram_bytes: u64,
-    /// Precomputed Stage-C fingerprint of `(regions, compute_seconds)`.
-    fingerprint: StatsFingerprint,
+/// A workload graph and its Stage-B assembly plan, built together once per
+/// `(workload, batch)`.
+struct PlannedGraph {
+    graph: fast_ir::Graph,
+    plan: SimPlan,
 }
 
-impl SimStats {
-    fn from_perf(perf: WorkloadPerf) -> SimStats {
-        let fingerprint = fast_fusion::stats_fingerprint(&perf.regions, perf.compute_seconds);
-        SimStats {
-            workload: perf.workload,
-            regions: perf.regions,
-            compute_seconds: perf.compute_seconds,
-            prefusion_seconds: perf.prefusion_seconds,
-            batch_per_core: perf.batch_per_core,
-            cores: perf.cores,
-            matrix_flops: perf.matrix_flops,
-            peak_flops_per_core: perf.peak_flops_per_core,
-            total_flops: perf.total_flops,
-            prefusion_dram_bytes: perf.prefusion_dram_bytes,
-            fingerprint,
-        }
-    }
+/// The sim-tier entry: the slim Stage-B product — exactly what Stage C and
+/// the final [`WorkloadEval`] assembly read, no per-node detail (use
+/// [`Evaluator::simulate_workload`] for that) — with its Stage-C key.
+struct Assembled {
+    stats: SimStats,
+    /// Precomputed Stage-C fingerprint of `(regions, compute_seconds)`.
+    fingerprint: StatsFingerprint,
 }
 
 /// The Stage-C product persisted in the fuse tier: the fusion outputs the
@@ -401,11 +381,11 @@ pub struct Evaluator {
     objective: Objective,
     budget: Budget,
     fusion: FusionOptions,
-    /// Immutable workload graphs keyed by `(workload, batch)`; each is built
-    /// once, outside the tier's lock.
-    graphs: Arc<Tier<(Workload, u64), Arc<fast_ir::Graph>>>,
+    /// Immutable workload graphs and their Stage-B plans, keyed by
+    /// `(workload, batch)`; each is built once, outside the tier's lock.
+    graphs: Arc<Tier<(Workload, u64), Arc<PlannedGraph>>>,
     mapper: Arc<MapperCache>,
-    sims: Arc<Tier<SimTierKey, Result<Arc<SimStats>, SimError>>>,
+    sims: Arc<Tier<SimTierKey, Result<Arc<Assembled>, SimError>>>,
     fuses: Arc<Tier<FuseKey, FusedSummary>>,
     /// Cross-point warm-start incumbents for the exact fusion solver.
     /// Strictly a performance hint — fusion answers are bit-identical with
@@ -530,17 +510,21 @@ impl Evaluator {
         self.objective
     }
 
-    fn graph(&self, w: Workload, batch: u64) -> Arc<fast_ir::Graph> {
+    fn graph(&self, w: Workload, batch: u64) -> Arc<PlannedGraph> {
         self.graphs.get_or_compute((w, batch), || {
-            Arc::new(w.build(batch).expect("in-tree workloads always build"))
+            let mut graph = w.build(batch).expect("in-tree workloads always build");
+            graph.shrink_to_fit();
+            let plan = SimPlan::new(&graph);
+            Arc::new(PlannedGraph { graph, plan })
         })
     }
 
     /// Simulates one workload on a config (pre-fusion detail), without budget
     /// checks — used by report/breakdown code as well as equivalence tests.
-    /// Op scheduling is answered from the shared Stage-A mapper cache; the
-    /// full per-node [`WorkloadPerf`] is recomputed per call (the sim tier
-    /// stores only the slim region stats).
+    /// Op scheduling is answered from the shared Stage-A mapper cache and
+    /// the graph-only work from the cached [`SimPlan`]; the per-node detail
+    /// is rebuilt per call (the sim tier stores only the slim
+    /// [`SimStats`]).
     ///
     /// # Errors
     /// Propagates schedule failures.
@@ -550,8 +534,8 @@ impl Evaluator {
         cfg: &DatapathConfig,
         sim: &SimOptions,
     ) -> Result<WorkloadPerf, EvalError> {
-        let graph = self.graph(w, cfg.native_batch);
-        simulate_staged(&graph, cfg, sim, &self.mapper).map_err(EvalError::ScheduleFailure)
+        let g = self.graph(w, cfg.native_batch);
+        g.plan.simulate(&g.graph, cfg, sim, &self.mapper).map_err(EvalError::ScheduleFailure)
     }
 
     /// Runs fusion for a simulated workload (uncached).
@@ -568,8 +552,8 @@ impl Evaluator {
         cfg: &DatapathConfig,
         sim: &SimOptions,
     ) -> Result<WorkloadEval, EvalError> {
-        let graph = self.graph(w, cfg.native_batch);
-        let perf = fast_sim::simulate(&graph, cfg, sim).map_err(EvalError::ScheduleFailure)?;
+        let g = self.graph(w, cfg.native_batch);
+        let perf = fast_sim::simulate(&g.graph, cfg, sim).map_err(EvalError::ScheduleFailure)?;
         let fused = self.fuse(&perf, cfg);
         let step = fused.total_seconds;
         let qps = (perf.batch_per_core * perf.cores) as f64 / step;
@@ -589,19 +573,20 @@ impl Evaluator {
     /// Stage A+B: the memoized per-workload assembly. Answers from the sim
     /// tier when the exact `(workload, datapath, schedule)` combination has
     /// been assembled before — by any clone, on any thread — and otherwise
-    /// simulates through the shared op-tier mapper cache and records the
-    /// outcome (schedule failures included; they are deterministic too).
+    /// assembles the graph's cached plan through the shared op-tier mapper
+    /// cache and records the outcome (schedule failures included; they are
+    /// deterministic too).
     fn sim_stats(
         &self,
         w: Workload,
         cfg: &DatapathConfig,
         sim: &SimOptions,
-    ) -> Result<Arc<SimStats>, SimError> {
+    ) -> Result<Arc<Assembled>, SimError> {
         let key = SimTierKey { workload: w, config: *cfg, sim: *sim };
         self.sims.get_or_compute(key, || {
-            let graph = self.graph(w, cfg.native_batch);
-            simulate_staged(&graph, cfg, sim, &self.mapper)
-                .map(|perf| Arc::new(SimStats::from_perf(perf)))
+            let stats = self.graph(w, cfg.native_batch).plan.assemble(cfg, sim, &self.mapper)?;
+            let fingerprint = fast_fusion::stats_fingerprint(&stats.regions, stats.compute_seconds);
+            Ok(Arc::new(Assembled { stats, fingerprint }))
         })
     }
 
@@ -610,9 +595,10 @@ impl Evaluator {
     /// the exact solver with a neighboring point's incumbent — results stay
     /// bit-identical (see [`fast_fusion::fuse_regions_warm`]); only node
     /// counts shrink.
-    fn fused_summary(&self, stats: &SimStats, cfg: &DatapathConfig) -> FusedSummary {
+    fn fused_summary(&self, assembled: &Assembled, cfg: &DatapathConfig) -> FusedSummary {
         let gm_bytes = cfg.global_memory_bytes();
-        let key = FuseKey { stats: stats.fingerprint, gm_bytes, fusion: self.fusion.clone() };
+        let key = FuseKey { stats: assembled.fingerprint, gm_bytes, fusion: self.fusion.clone() };
+        let stats = &assembled.stats;
         self.fuses.get_or_compute(key, || {
             let fused = fast_fusion::fuse_regions_warm(
                 &stats.regions,
@@ -637,8 +623,9 @@ impl Evaluator {
         if !self.staged {
             return self.compute_workload_eval(w, cfg, sim);
         }
-        let stats = self.sim_stats(w, cfg, sim).map_err(EvalError::ScheduleFailure)?;
-        let fused = self.fused_summary(&stats, cfg);
+        let assembled = self.sim_stats(w, cfg, sim).map_err(EvalError::ScheduleFailure)?;
+        let fused = self.fused_summary(&assembled, cfg);
+        let stats = &assembled.stats;
         let step = fused.total_seconds;
         let qps = (stats.batch_per_core * stats.cores) as f64 / step;
         Ok(WorkloadEval {
@@ -1127,6 +1114,39 @@ mod tests {
         let _ = e.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
         let _ = e2.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
         assert_eq!(e.graphs.len(), 1);
+    }
+
+    /// The graph-only half of Stage B is built once per `(workload, batch)`
+    /// and shared by every clone. The sim tier's miss path assembles the
+    /// slim [`SimStats`] from that plan alone: `SimPlan::assemble` takes no
+    /// graph, so it cannot build node detail.
+    #[test]
+    fn assembly_plans_are_built_once_per_graph_and_shared_by_clones() {
+        let e = evaluator(Objective::Qps);
+        let (cfg, sim) = (presets::fast_large(), SimOptions::default());
+        let w = Workload::EfficientNet(EfficientNet::B0);
+        let _ = e.evaluate(&cfg, &sim).unwrap();
+        let planned = e.graph(w, cfg.native_batch);
+        let fresh = e.fresh_eval_cache();
+        let scenario = e.for_scenario(vec![w], Objective::PerfPerTdp, Budget::paper_default());
+        for clone in [&fresh, &scenario] {
+            let _ = clone.evaluate(&cfg, &sim).unwrap();
+            assert!(Arc::ptr_eq(&planned, &clone.graph(w, cfg.native_batch)));
+        }
+        assert_eq!(e.graphs.stats().misses, 1, "one graph and plan build");
+        assert_eq!(fresh.staged_cache_stats().sim.misses, 1, "the fresh clone assembled");
+
+        // The slim entry carries the same regions and scalars as the full
+        // per-node simulation.
+        let key = SimTierKey { workload: w, config: cfg, sim };
+        let slim = fresh.sims.get_or_compute(key, || unreachable!("assembled above")).unwrap();
+        let full = fresh.simulate_workload(w, &cfg, &sim).unwrap();
+        assert_eq!(slim.stats.regions.len(), full.regions.len());
+        assert_eq!(slim.stats.prefusion_seconds.to_bits(), full.prefusion_seconds.to_bits());
+        assert_eq!(
+            slim.fingerprint,
+            fast_fusion::stats_fingerprint(&full.regions, full.compute_seconds)
+        );
     }
 
     #[test]

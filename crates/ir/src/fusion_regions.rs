@@ -153,7 +153,23 @@ impl RegionGraph {
     /// regions stream their secondary inputs from DRAM).
     #[must_use]
     pub fn primary_input(&self, id: RegionId) -> Option<RegionId> {
-        self.fan_in(id).into_iter().max_by_key(|e| e.bytes).map(|e| e.from)
+        let fan_in = self.edges.iter().filter(|e| e.to == id);
+        fan_in.fold(None, |best, e| if displaces(e, best) { Some(e) } else { best }).map(|e| e.from)
+    }
+
+    /// Every region's primary fan-in edge (the one
+    /// [`RegionGraph::primary_input`] names), indexed by region id, in one
+    /// pass over the edges.
+    #[must_use]
+    pub fn primary_edges(&self) -> Vec<Option<&RegionEdge>> {
+        let mut primary = vec![None; self.regions.len()];
+        for e in &self.edges {
+            let best = &mut primary[e.to.index()];
+            if displaces(e, *best) {
+                *best = Some(e);
+            }
+        }
+        primary
     }
 
     /// Merges regions according to `key`: regions mapping to the same
@@ -192,8 +208,14 @@ impl RegionGraph {
                 nodes
             })
             .collect();
-        build_from_partition(graph, &node_sets)
+        build_from_partition(graph, &node_sets, &graph.consumers())
     }
+}
+
+/// Whether fan-in edge `e` displaces `best` as its region's primary input:
+/// the larger tensor wins, and among equal ones the later edge.
+fn displaces(e: &RegionEdge, best: Option<&RegionEdge>) -> bool {
+    best.is_none_or(|b| e.bytes >= b.bytes)
 }
 
 /// Builds the XLA-style fusion-region graph for `graph`.
@@ -244,19 +266,27 @@ pub fn build_regions(graph: &Graph) -> RegionGraph {
         };
         region_of[id.index()] = ridx;
     }
-    build_from_partition(graph, &partition)
+    build_from_partition(graph, &partition, &consumers)
 }
 
 /// Builds a [`RegionGraph`] from an explicit node partition (each inner vec is
-/// one region's members, which must be internally topologically ordered).
-fn build_from_partition(graph: &Graph, partition: &[Vec<NodeId>]) -> RegionGraph {
+/// one region's members, which must be internally topologically ordered);
+/// `consumers` is [`Graph::consumers`] of `graph`.
+fn build_from_partition(
+    graph: &Graph,
+    partition: &[Vec<NodeId>],
+    consumers: &[Vec<NodeId>],
+) -> RegionGraph {
     let mut region_of = vec![usize::MAX; graph.len()];
     for (ridx, members) in partition.iter().enumerate() {
         for &n in members {
             region_of[n.index()] = ridx;
         }
     }
-    let consumers = graph.consumers();
+    let mut is_output = vec![false; graph.len()];
+    for &n in graph.outputs() {
+        is_output[n.index()] = true;
+    }
 
     // Order regions by the topological position of their first member.
     let mut order: Vec<usize> =
@@ -316,7 +346,7 @@ fn build_from_partition(graph: &Graph, partition: &[Vec<NodeId>]) -> RegionGraph
                 let cons = &consumers[n.index()];
                 cons.iter().any(|c| region_of[c.index()] != old)
                     || (cons.is_empty() && !matches!(graph.node(n).kind(), OpKind::Input))
-                    || graph.outputs().contains(&n)
+                    || is_output[n.index()]
             })
             .map(|&n| graph.node_output_bytes(n))
             .sum();
@@ -416,6 +446,34 @@ mod tests {
         let e = rg.edges().iter().find(|e| e.from == c1r && e.to == c2r).expect("edge");
         assert_eq!(e.bytes, 8 * 8 * 32 * 2);
         assert_eq!(rg.primary_input(c2r), Some(c1r));
+    }
+
+    /// Two equally large fan-in tensors: the later producer is `F_in`,
+    /// whether asked per region or for all regions at once.
+    #[test]
+    fn primary_input_ties_go_to_the_later_edge() {
+        let mut g = Graph::new("t", DType::Bf16);
+        let x = g.input("x", [1, 128]);
+        let m1 = g.matmul("m1", x, MatMulGeom { k: 128, n: 128 }).unwrap();
+        let m2 = g.matmul("m2", x, MatMulGeom { k: 128, n: 128 }).unwrap();
+        // Second consumers keep the add out of both matmul regions.
+        let add = g.residual_add("add", m1, m2).unwrap();
+        let r1 = g.relu("r1", m1).unwrap();
+        let r2 = g.relu("r2", m2).unwrap();
+        for n in [add, r1, r2] {
+            g.mark_output(n);
+        }
+        let rg = build_regions(&g);
+        let region = |name: &str| rg.compute_regions().find(|r| r.name == name).unwrap().id();
+        let (m1r, m2r, addr) = (region("m1"), region("m2"), region("add"));
+        let fan_in: Vec<_> = rg.fan_in(addr).iter().map(|e| (e.from, e.bytes)).collect();
+        assert_eq!(fan_in, [(m1r, 256), (m2r, 256)]);
+        assert_eq!(rg.primary_input(addr), Some(m2r));
+        let primary = rg.primary_edges();
+        assert_eq!(primary[addr.index()].map(|e| e.from), Some(m2r));
+        for r in rg.regions() {
+            assert_eq!(primary[r.id().index()].map(|e| e.from), rg.primary_input(r.id()));
+        }
     }
 
     #[test]

